@@ -8,9 +8,7 @@ use std::hint::black_box;
 
 use ptk_access::ViewSource;
 use ptk_datagen::{SyntheticConfig, SyntheticDataset};
-use ptk_engine::{
-    dp, evaluate_ptk, evaluate_ptk_source, EngineOptions, SharingVariant, StreamOptions,
-};
+use ptk_engine::{dp, evaluate_ptk, evaluate_ptk_source, EngineOptions, SharingVariant};
 
 fn bench_dp(c: &mut Criterion) {
     let mut group = c.benchmark_group("dp_primitives");
@@ -103,7 +101,7 @@ fn bench_stream_vs_materialized(c: &mut Criterion) {
     group.bench_function("stream_over_view", |b| {
         b.iter(|| {
             let mut source = ViewSource::new(black_box(&ds.view));
-            evaluate_ptk_source(&mut source, 100, 0.3, &StreamOptions::default())
+            evaluate_ptk_source(&mut source, 100, 0.3, &EngineOptions::default())
         })
     });
     group.finish();

@@ -78,15 +78,51 @@ struct Flags {
     switches: Vec<String>,
 }
 
-/// Flags that take no value.
-const SWITCHES: [&str; 4] = ["asc", "audit", "explain", "no-prune"];
+/// Every flag some command reads, paired with whether it is a switch
+/// (takes no value). Any other `--name` is rejected, so a misspelt flag
+/// fails loudly instead of being ignored.
+const FLAGS: [(&str, bool); 30] = [
+    ("addr", false),
+    ("asc", true),
+    ("audit", true),
+    ("block-size", false),
+    ("cache", false),
+    ("explain", true),
+    ("flight-capacity", false),
+    ("k", false),
+    ("limit", false),
+    ("max-worlds", false),
+    ("method", false),
+    ("no-prune", true),
+    ("out", false),
+    ("p", false),
+    ("pool-frames", false),
+    ("queue", false),
+    ("rank-by", false),
+    ("ready-file", false),
+    ("rule-span", false),
+    ("rules", false),
+    ("seed", false),
+    ("semantics", false),
+    ("slow-ms", false),
+    ("stats", false),
+    ("threads", false),
+    ("timeout-ms", false),
+    ("trace", false),
+    ("trace-format", false),
+    ("tuples", false),
+    ("where", false),
+];
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if let Some(name) = arg.strip_prefix("--") {
-            if SWITCHES.contains(&name) {
+            let Some(&(_, switch)) = FLAGS.iter().find(|(known, _)| *known == name) else {
+                return Err(format!("unknown flag --{name}"));
+            };
+            if switch {
                 flags.switches.push(name.to_owned());
             } else {
                 let value = it
@@ -244,14 +280,29 @@ fn load_from_flags(flags: &Flags) -> Result<UncertainTable, String> {
 /// [`CmdError::Io`] when `out` rejects a write (check
 /// [`CmdError::is_broken_pipe`] to exit cleanly under `ptk … | head`).
 pub fn dispatch_to(args: &[String], out: &mut dyn Write) -> Result<(), CmdError> {
-    let flags = parse_flags(args)?;
+    let mut flags = parse_flags(args)?;
     match flags.positional.first().map(String::as_str) {
         Some("query") => query::cmd_query(&flags, out),
-        Some("utopk") => query::cmd_utopk(&flags, out),
-        Some("ukranks") => query::cmd_ukranks(&flags, out),
+        Some(alias @ ("utopk" | "ukranks" | "erank")) => {
+            // Aliases of `query --semantics …`: one answer path, one renderer.
+            let semantics = match alias {
+                "utopk" => "u_topk",
+                "ukranks" => "u_kranks",
+                _ => "expected_rank",
+            };
+            if flags.named.contains_key("semantics") {
+                return Err(format!(
+                    "{alias} is `query --semantics {semantics}`; drop --semantics"
+                )
+                .into());
+            }
+            flags
+                .named
+                .insert("semantics".to_owned(), semantics.to_owned());
+            query::cmd_query(&flags, out)
+        }
         Some("inspect") => query::cmd_inspect(&flags, out),
         Some("worlds") => query::cmd_worlds(&flags, out),
-        Some("erank") => query::cmd_erank(&flags, out),
         Some("sql") => sql::cmd_sql(&flags, out),
         Some("serve") => serve::cmd_serve(&flags, out),
         Some("pack") => scan::cmd_pack(&flags, out),
@@ -779,6 +830,69 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("rank   1"), "{out}");
+    }
+
+    #[test]
+    fn aliases_answer_exactly_like_query_semantics() {
+        let file = panda_file();
+        for (alias, semantics) in [
+            ("utopk", "u_topk"),
+            ("ukranks", "u_kranks"),
+            ("erank", "expected_rank"),
+        ] {
+            let common = [
+                file.as_str(),
+                "--k",
+                "2",
+                "--rank-by",
+                "duration",
+                "--where",
+                "duration>=18",
+            ];
+            let mut via_alias = vec![alias];
+            via_alias.extend(common);
+            let mut via_query = vec!["query"];
+            via_query.extend(common);
+            via_query.extend(["--semantics", semantics]);
+            let aliased = dispatch(&args(&via_alias)).unwrap();
+            assert_eq!(aliased, dispatch(&args(&via_query)).unwrap(), "{alias}");
+            // Only R1 and R2 pass the predicate; every unfiltered answer
+            // names R5.
+            assert!(!aliased.contains("R5"), "{alias}: {aliased}");
+        }
+        let err = dispatch(&args(&[
+            "utopk",
+            file.as_str(),
+            "--k",
+            "2",
+            "--rank-by",
+            "duration",
+            "--semantics",
+            "ptk",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("drop --semantics"), "{err}");
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let file = panda_file();
+        let err = dispatch(&args(&[
+            "query",
+            file.as_str(),
+            "--k",
+            "2",
+            "--p",
+            "0.35",
+            "--rank-by",
+            "duration",
+            "--wehre",
+            "duration>=13",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unknown flag --wehre");
+        let err = dispatch(&args(&["serve", file.as_str(), "--verbose"])).unwrap_err();
+        assert_eq!(err, "unknown flag --verbose");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! View-based query commands: `query`, `utopk`, `ukranks`, `erank`,
-//! `worlds`, `inspect`.
+//! View-based query commands: `query` (which also answers the `utopk`,
+//! `ukranks` and `erank` aliases), `worlds`, `inspect`.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -7,13 +7,12 @@ use std::sync::Arc;
 use ptk_core::{Predicate, PtkQuery, RankedView, Ranking, TopKQuery, UncertainTable};
 use ptk_engine::{PtkExecutor, PtkPlan, RankSemantics};
 use ptk_obs::{Metrics, Noop, QueryFlight, Recorder, SharedSink, Tracer};
-use ptk_rankers::{expected_rank_topk, ukranks, utopk, UTopKOptions};
 use ptk_sampling::{sample_topk_recorded, sample_topk_traced, SamplingOptions};
 use ptk_worlds::naive;
 
 use super::render::{
-    attrs_of, ptk_header, stats_mode, write_audit, write_batch_answers, write_membership_row,
-    write_ptk_rows, write_semantics_answer, write_snapshot, write_stats,
+    ptk_header, stats_mode, write_audit, write_batch_answers, write_ptk_rows,
+    write_semantics_answer, write_snapshot, write_stats,
 };
 use super::sql::flight_fingerprint;
 use super::trace::{trace_opts, RING_CAPACITY};
@@ -394,65 +393,6 @@ fn query_semantics(
     if let Some(mut f) = flight {
         f.absorb_counters(&metrics.snapshot());
         write_audit(out, f)?;
-    }
-    Ok(())
-}
-
-pub(super) fn cmd_utopk(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
-    let table = load_from_flags(flags)?;
-    let k: usize = flags.require("k")?;
-    let ranking = build_ranking(flags, &table)?;
-    let query = TopKQuery::new(k, Predicate::True, ranking).map_err(|e| e.to_string())?;
-    let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
-    let answer = utopk(&view, k, &UTopKOptions::default()).map_err(|e| e.to_string())?;
-    writeln!(
-        out,
-        "most probable top-{k} vector (probability {:.6}, {} states explored):",
-        answer.probability, answer.states_explored
-    )?;
-    for &pos in &answer.vector {
-        write_membership_row(out, &view, &table, pos)?;
-    }
-    Ok(())
-}
-
-pub(super) fn cmd_ukranks(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
-    let table = load_from_flags(flags)?;
-    let k: usize = flags.require("k")?;
-    let ranking = build_ranking(flags, &table)?;
-    let query = TopKQuery::new(k, Predicate::True, ranking).map_err(|e| e.to_string())?;
-    let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
-    writeln!(out, "most probable tuple at each rank:")?;
-    for entry in ukranks(&view, k) {
-        writeln!(
-            out,
-            "  rank {:>3}: ranked position {:>4}, probability {:.4}  [{}]",
-            entry.rank,
-            entry.position + 1,
-            entry.probability,
-            attrs_of(&view, &table, entry.position)
-        )?;
-    }
-    Ok(())
-}
-
-pub(super) fn cmd_erank(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
-    let table = load_from_flags(flags)?;
-    let k: usize = flags.require("k")?;
-    let ranking = build_ranking(flags, &table)?;
-    let query = TopKQuery::new(k, Predicate::True, ranking).map_err(|e| e.to_string())?;
-    let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
-    writeln!(out, "top-{k} by expected rank (Cormode et al. semantics):")?;
-    for e in expected_rank_topk(&view, k) {
-        let t = view.tuple(e.position);
-        writeln!(
-            out,
-            "  expected rank {:>8.2}  ranked position {:>4}  membership={:.3}  [{}]",
-            e.expected_rank,
-            e.position + 1,
-            t.prob,
-            attrs_of(&view, &table, e.position)
-        )?;
     }
     Ok(())
 }

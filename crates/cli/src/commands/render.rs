@@ -138,7 +138,7 @@ pub(super) fn write_batch_answers(
 
 /// Renders one ranked tuple with its membership probability — the row
 /// format shared by the U-TopK listings in `ptk utopk` and `ptk sql`.
-pub(super) fn write_membership_row(
+fn write_membership_row(
     out: &mut dyn Write,
     view: &RankedView,
     table: &UncertainTable,
@@ -232,7 +232,7 @@ pub(super) fn write_semantics_answer(
 }
 
 /// The comma-joined attribute rendering of a ranked tuple's source row.
-pub(super) fn attrs_of(view: &RankedView, table: &UncertainTable, pos: usize) -> String {
+fn attrs_of(view: &RankedView, table: &UncertainTable, pos: usize) -> String {
     let t = view.tuple(pos);
     let attrs: Vec<String> = table
         .tuple(t.id)

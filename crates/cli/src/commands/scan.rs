@@ -12,8 +12,8 @@ use ptk_access::{
 };
 use ptk_core::{Predicate, RankedView, TopKQuery};
 use ptk_engine::{
-    evaluate_ptk_source_recorded, PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer,
-    StreamOptions,
+    evaluate_ptk_source_recorded, EngineOptions, PtkExecutor, PtkPlan, RankSemantics,
+    SemanticsAnswer,
 };
 use ptk_obs::{Metrics, Noop, QueryFlight, Recorder, SharedRecorder, SharedSink, Tracer};
 
@@ -175,7 +175,7 @@ pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
         (&mut file_source, total)
     };
     let result =
-        evaluate_ptk_source_recorded(&mut *source, k, p, &StreamOptions::default(), recorder);
+        evaluate_ptk_source_recorded(&mut *source, k, p, &EngineOptions::default(), recorder);
     if let Some(f) = flight.as_mut() {
         f.stop = result
             .stats

@@ -39,9 +39,12 @@ USAGE:
               [--stats text|json|prom] [--threads N] [--no-prune] [--explain]
               [--trace <file> [--trace-format chrome|logical]] [--slow-ms N]
               [--audit]
-  ptk utopk   <file.csv> --k <K> --rank-by <col> [--asc]
-  ptk ukranks <file.csv> --k <K> --rank-by <col> [--asc]
-  ptk erank   <file.csv> --k <K> --rank-by <col> [--asc]
+  ptk utopk   <file.csv> --k <K> --rank-by <col> [query flags]
+              (alias of `ptk query --semantics u_topk`)
+  ptk ukranks <file.csv> --k <K> --rank-by <col> [query flags]
+              (alias of `ptk query --semantics u_kranks`)
+  ptk erank   <file.csv> --k <K> --rank-by <col> [query flags]
+              (alias of `ptk query --semantics expected_rank`)
   ptk inspect <file.csv | file.run>
   ptk worlds  <file.csv> --rank-by <col> [--limit N] [--max-worlds N]
   ptk sql     <file.csv> '<[EXPLAIN [ANALYZE]] SELECT TOP k … statement>[; …]'

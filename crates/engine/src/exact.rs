@@ -6,7 +6,7 @@
 //! [`RankedView`] — the view path is literally the source path specialized
 //! to in-memory retrieval, and the parity tests pin the two to bit
 //! equality. The full-distribution helpers ([`topk_probabilities`],
-//! [`position_probabilities`], [`topk_probability_profile`]) drive the
+//! [`position_probabilities`]) drive the
 //! [`Scanner`] directly because they need every per-rank DP row, not just
 //! the thresholded answers.
 
@@ -141,38 +141,6 @@ pub fn evaluate_ptk_multi(
         .iter()
         .map(|&p| result.answers_at(p).iter().map(|a| a.rank).collect())
         .collect()
-}
-
-/// Computes the full top-k probability *profile* of every tuple in one
-/// scan: `result[pos][k-1] = Pr^k` of the tuple at `pos`, for every depth
-/// `k ∈ 1..=max_k`.
-///
-/// By Eq. 4, `Pr^k(t) = Pr(t) · Σ_{j<k} Pr(T(t), j)`, so the whole profile
-/// is the prefix-sum of the position-probability row — one scan serves all
-/// depths at once, where calling [`topk_probabilities`] per `k` would cost
-/// `max_k` scans.
-pub fn topk_probability_profile(
-    view: &RankedView,
-    max_k: usize,
-    variant: SharingVariant,
-) -> Vec<Vec<f64>> {
-    let mut scanner = Scanner::new(view, max_k, variant);
-    let mut out = Vec::with_capacity(view.len());
-    while let Some(pos) = scanner.position() {
-        let prob = view.prob(pos);
-        let step = scanner.step().expect("position() was Some");
-        let mut acc = 0.0;
-        let profile: Vec<f64> = step
-            .row
-            .iter()
-            .map(|&s| {
-                acc += s;
-                prob * acc
-            })
-            .collect();
-        out.push(profile);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -364,30 +332,6 @@ mod tests {
     #[should_panic(expected = "(0, 1]")]
     fn multi_threshold_rejects_out_of_range_before_scanning() {
         let _ = evaluate_ptk_multi(&panda(), 2, &[0.5, 1.5], &EngineOptions::default());
-    }
-
-    #[test]
-    fn profile_matches_per_k_scans() {
-        let view = panda();
-        let profile = topk_probability_profile(&view, 4, SharingVariant::Lazy);
-        for k in 1..=4 {
-            let (pr, _) = topk_probabilities(&view, k, SharingVariant::Lazy);
-            for pos in 0..view.len() {
-                assert!(
-                    (profile[pos][k - 1] - pr[pos]).abs() < 1e-12,
-                    "pos {pos} k {k}: {} vs {}",
-                    profile[pos][k - 1],
-                    pr[pos]
-                );
-            }
-        }
-        // Profiles are monotone in k and bounded by membership.
-        for (pos, p) in profile.iter().enumerate() {
-            for w in p.windows(2) {
-                assert!(w[0] <= w[1] + 1e-12);
-            }
-            assert!(p[3] <= view.prob(pos) + 1e-12);
-        }
     }
 
     #[test]

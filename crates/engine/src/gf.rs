@@ -1173,3 +1173,25 @@ pub(crate) fn expected_ranks_closed(records: &[ScanRecord]) -> Vec<f64> {
         })
         .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn utopk_search_stops_at_the_state_cap() {
+        let records: Vec<ScanRecord> = (0..40)
+            .map(|i| ScanRecord {
+                id: TupleId::new(i),
+                score: -(i as f64),
+                prob: 0.5,
+                rule: None,
+                mates_above: 0.0,
+                prefix_above: 0.5 * i as f64,
+            })
+            .collect();
+        let err = utopk_search(&records, 10, 5).unwrap_err();
+        assert_eq!(err, SemanticsError::SearchExhausted { max_states: 5 });
+        assert!(err.to_string().contains("5 states"), "{err}");
+    }
+}

@@ -22,11 +22,13 @@
 //!   source;
 //! * [`evaluate_ptk`] / [`evaluate_ptk_source`] — the classic view-based
 //!   and source-based entry points, now wrappers over the executor;
+//! * [`PtkExecutor::execute_semantics`] — the other ranking semantics
+//!   ([`RankSemantics`]: U-TopK, U-KRanks, Global-Topk, expected rank),
+//!   each a finisher over one unpruned generating-function scan;
 //! * [`Scanner`] — the step-at-a-time view of the compressed dominant set,
-//!   kept for instrumentation and the rankers;
+//!   kept for instrumentation;
 //! * [`topk_probabilities`] / [`position_probabilities`] — full-scan
-//!   variants exposing the exact distributions (also the building block for
-//!   U-KRanks in `ptk-rankers`).
+//!   variants exposing the exact distributions.
 //!
 //! ```
 //! use ptk_core::RankedView;
@@ -60,14 +62,11 @@ mod stream;
 
 pub use exact::{
     evaluate_ptk, evaluate_ptk_multi, evaluate_ptk_recorded, position_probabilities,
-    topk_probabilities, topk_probability_profile,
+    topk_probabilities,
 };
 pub use exec::{AnswerTuple, PtkExecutor, PtkResult};
 pub use gf::{RankSemantics, SemanticsAnswer, SemanticsError, SemanticsRow, UTOPK_MAX_STATES};
 pub use plan::{EngineOptions, PlanError, PlanStage, PtkBatch, PtkPlan, SharingVariant};
 pub use scanner::{Entry, Scanner, StepRow};
 pub use stats::{counters, ExecStats, StopReason};
-pub use stream::{
-    evaluate_ptk_multi_source, evaluate_ptk_source, evaluate_ptk_source_recorded, StreamAnswer,
-    StreamOptions, StreamPtkResult,
-};
+pub use stream::{evaluate_ptk_multi_source, evaluate_ptk_source, evaluate_ptk_source_recorded};

@@ -10,9 +10,8 @@
 //! descends its sorted lists as far as the scan actually reached.
 //!
 //! Since the planner/executor unification these are thin wrappers over the
-//! same [`PtkExecutor`] the view path uses; the historical
-//! [`StreamOptions`] / [`StreamPtkResult`] / [`StreamAnswer`] names are
-//! aliases of the merged types. Streaming-specific behavior now lives in
+//! same [`PtkExecutor`] the view path uses, taking [`EngineOptions`] and
+//! returning [`PtkResult`]. Streaming-specific behavior now lives in
 //! the source hints: a source that cannot report rule layout
 //! ([`RankedSource::rule_len`] /
 //! [`RankedSource::rule_member_rank`](ptk_access::RankedSource::rule_member_rank))
@@ -26,18 +25,6 @@ use ptk_obs::{Noop, Recorder};
 
 use crate::exec::{AnswerTuple, PtkExecutor, PtkResult};
 use crate::plan::{EngineOptions, PtkPlan};
-
-/// Options for the source-based entry points — the same type as
-/// [`EngineOptions`] since the engines merged.
-pub type StreamOptions = EngineOptions;
-
-/// One answer of a PT-k evaluation — the same type as [`AnswerTuple`]
-/// since the engines merged.
-pub type StreamAnswer = AnswerTuple;
-
-/// The result of a source-based PT-k evaluation — the same type as
-/// [`PtkResult`] since the engines merged.
-pub type StreamPtkResult = PtkResult;
 
 /// Answers a PT-k query over a progressive ranked source.
 ///
@@ -53,8 +40,8 @@ pub fn evaluate_ptk_source<S: RankedSource + ?Sized>(
     source: &mut S,
     k: usize,
     threshold: f64,
-    options: &StreamOptions,
-) -> StreamPtkResult {
+    options: &EngineOptions,
+) -> PtkResult {
     evaluate_ptk_source_recorded(source, k, threshold, options, &Noop)
 }
 
@@ -73,9 +60,9 @@ pub fn evaluate_ptk_source_recorded<S: RankedSource + ?Sized>(
     source: &mut S,
     k: usize,
     threshold: f64,
-    options: &StreamOptions,
+    options: &EngineOptions,
     recorder: &dyn Recorder,
-) -> StreamPtkResult {
+) -> PtkResult {
     let plan = PtkPlan::new(k, threshold, options);
     PtkExecutor::with_recorder(&plan, recorder).execute(source)
 }
@@ -95,7 +82,7 @@ pub fn evaluate_ptk_multi_source<S: RankedSource + ?Sized>(
     source: &mut S,
     k: usize,
     thresholds: &[f64],
-    options: &StreamOptions,
+    options: &EngineOptions,
 ) -> Vec<Vec<AnswerTuple>> {
     let plan = PtkPlan::multi(k, thresholds, options);
     let result = PtkExecutor::new(&plan).execute(source);
@@ -120,7 +107,7 @@ mod tests {
         let view = panda();
         let batch = evaluate_ptk(&view, 2, 0.35, &EngineOptions::default());
         let mut source = ViewSource::new(&view);
-        let stream = evaluate_ptk_source(&mut source, 2, 0.35, &StreamOptions::default());
+        let stream = evaluate_ptk_source(&mut source, 2, 0.35, &EngineOptions::default());
         assert_eq!(stream.answers.len(), batch.answers.len());
         for (s, b) in stream.answers.iter().zip(&batch.answers) {
             assert_eq!(s.id, view.tuple(b.rank).id);
@@ -133,7 +120,7 @@ mod tests {
         let probs = vec![0.999; 500];
         let view = RankedView::from_ranked_probs(&probs, &[]).unwrap();
         let mut source = ViewSource::new(&view);
-        let result = evaluate_ptk_source(&mut source, 5, 0.5, &StreamOptions::default());
+        let result = evaluate_ptk_source(&mut source, 5, 0.5, &EngineOptions::default());
         assert!(result.stats.stopped_early());
         assert!(source.retrieved() < 500, "retrieved {}", source.retrieved());
         assert_eq!(result.answers.len(), 5);
@@ -151,7 +138,7 @@ mod tests {
             (11.0, 0.2, Some(1)),
         ])
         .unwrap();
-        let result = evaluate_ptk_source(&mut source, 2, 0.35, &StreamOptions::default());
+        let result = evaluate_ptk_source(&mut source, 2, 0.35, &EngineOptions::default());
         let ids: Vec<usize> = result.answers.iter().map(|a| a.id.index()).collect();
         assert_eq!(ids, vec![1, 4, 2]); // R2, R5, R3 in ranking order
         assert!((result.answers[1].probability - 0.704).abs() < 1e-12);
@@ -176,14 +163,14 @@ mod tests {
                 self.0
             }
         }
-        let _ = evaluate_ptk_source(&mut Bad(0), 2, 0.5, &StreamOptions::default());
+        let _ = evaluate_ptk_source(&mut Bad(0), 2, 0.5, &EngineOptions::default());
     }
 
     #[test]
     fn pruning_off_scans_everything() {
         let view = panda();
         let mut source = ViewSource::new(&view);
-        let options = StreamOptions {
+        let options = EngineOptions {
             pruning: false,
             ..Default::default()
         };
@@ -199,10 +186,10 @@ mod tests {
         let thresholds = [0.9, 0.35, 0.1, 0.5];
         let mut source = ViewSource::new(&view);
         let multi =
-            evaluate_ptk_multi_source(&mut source, 2, &thresholds, &StreamOptions::default());
+            evaluate_ptk_multi_source(&mut source, 2, &thresholds, &EngineOptions::default());
         for (i, &p) in thresholds.iter().enumerate() {
             let mut fresh = ViewSource::new(&view);
-            let single = evaluate_ptk_source(&mut fresh, 2, p, &StreamOptions::default());
+            let single = evaluate_ptk_source(&mut fresh, 2, p, &EngineOptions::default());
             let ids: Vec<usize> = multi[i].iter().map(|a| a.id.index()).collect();
             let expect: Vec<usize> = single.answers.iter().map(|a| a.id.index()).collect();
             assert_eq!(ids, expect, "threshold {p}");

@@ -8,7 +8,7 @@ use ptk_access::{AggregateFn, SortedVecSource, TaSource, ViewSource};
 use ptk_core::RankedView;
 use ptk_engine::{
     evaluate_ptk, evaluate_ptk_multi_source, evaluate_ptk_source, evaluate_ptk_source_recorded,
-    EngineOptions, ExecStats, StreamOptions,
+    EngineOptions, ExecStats,
 };
 use ptk_obs::Metrics;
 use ptk_worlds::naive;
@@ -70,7 +70,7 @@ fn sorted_vec_stream_matches_oracle() {
         let oracle = naive::ptk_answer(&view, k, p).unwrap();
 
         let mut source = SortedVecSource::from_unsorted(rows.clone()).unwrap();
-        let result = evaluate_ptk_source(&mut source, k, p, &StreamOptions::default());
+        let result = evaluate_ptk_source(&mut source, k, p, &EngineOptions::default());
         // Map oracle positions to original row ids.
         let oracle_ids: Vec<usize> = oracle.iter().map(|&pos| order[pos]).collect();
         let stream_ids: Vec<usize> = result.answers.iter().map(|a| a.id.index()).collect();
@@ -88,7 +88,7 @@ fn stream_probabilities_match_view_engine() {
         let p = rng.random_range(0.1..0.9f64);
         let batch = evaluate_ptk(&view, k, p, &EngineOptions::default());
         let mut source = ViewSource::new(&view);
-        let options = StreamOptions {
+        let options = EngineOptions {
             ub_check_interval: 2,
             ..Default::default()
         };
@@ -168,7 +168,7 @@ fn ta_stream_matches_oracle_on_multi_attribute_tables() {
         let oracle_ids: Vec<usize> = oracle.iter().map(|&pos| order[pos]).collect();
 
         let mut source = TaSource::new(&attrs, probs, rules, agg).unwrap();
-        let result = evaluate_ptk_source(&mut source, k, p, &StreamOptions::default());
+        let result = evaluate_ptk_source(&mut source, k, p, &EngineOptions::default());
         let stream_ids: Vec<usize> = result.answers.iter().map(|a| a.id.index()).collect();
         assert_eq!(stream_ids, oracle_ids, "trial {trial} k={k} p={p:.2}");
     }
@@ -241,10 +241,10 @@ fn multi_threshold_works_over_any_source() {
 
         let mut source = SortedVecSource::from_unsorted(rows.clone()).unwrap();
         let multi =
-            evaluate_ptk_multi_source(&mut source, k, &thresholds, &StreamOptions::default());
+            evaluate_ptk_multi_source(&mut source, k, &thresholds, &EngineOptions::default());
         for (i, &p) in thresholds.iter().enumerate() {
             let mut fresh = SortedVecSource::from_unsorted(rows.clone()).unwrap();
-            let single = evaluate_ptk_source(&mut fresh, k, p, &StreamOptions::default());
+            let single = evaluate_ptk_source(&mut fresh, k, p, &EngineOptions::default());
             let ids: Vec<usize> = multi[i].iter().map(|a| a.id.index()).collect();
             let expect: Vec<usize> = single.answers.iter().map(|a| a.id.index()).collect();
             assert_eq!(ids, expect, "trial {trial} threshold {p}: ids");
@@ -280,11 +280,11 @@ fn multi_threshold_works_over_any_source() {
         let mut source =
             TaSource::new(&attrs, probs.clone(), rules.clone(), AggregateFn::Sum).unwrap();
         let multi =
-            evaluate_ptk_multi_source(&mut source, k, &thresholds, &StreamOptions::default());
+            evaluate_ptk_multi_source(&mut source, k, &thresholds, &EngineOptions::default());
         for (i, &p) in thresholds.iter().enumerate() {
             let mut fresh =
                 TaSource::new(&attrs, probs.clone(), rules.clone(), AggregateFn::Sum).unwrap();
-            let single = evaluate_ptk_source(&mut fresh, k, p, &StreamOptions::default());
+            let single = evaluate_ptk_source(&mut fresh, k, p, &EngineOptions::default());
             let ids: Vec<usize> = multi[i].iter().map(|a| a.id.index()).collect();
             let expect: Vec<usize> = single.answers.iter().map(|a| a.id.index()).collect();
             assert_eq!(ids, expect, "ta trial {trial} threshold {p}");

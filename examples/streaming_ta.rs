@@ -15,7 +15,7 @@
 
 use ptk::rng::{RngExt, SeedableRng, StdRng};
 
-use ptk::{evaluate_ptk_source, AggregateFn, RankedSource, StreamOptions, TaSource};
+use ptk::{evaluate_ptk_source, AggregateFn, ExactOptions, RankedSource, TaSource};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(2024);
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // "Listings with >= 40% probability of being a top-20 result."
-    let result = evaluate_ptk_source(&mut source, 20, 0.4, &StreamOptions::default());
+    let result = evaluate_ptk_source(&mut source, 20, 0.4, &ExactOptions::default());
 
     println!(
         "PT-20 answers at p = 0.4 ({} listings):",

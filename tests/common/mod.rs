@@ -1,9 +1,9 @@
 //! Shared helpers for the workspace integration tests.
 #![allow(dead_code)] // each integration test binary uses a subset of these
 
+use ptk::engine::{RankSemantics, SemanticsAnswer};
 use ptk::rng::{RngExt, SeedableRng, StdRng};
-
-use ptk::RankedView;
+use ptk::{ExactOptions, PtkExecutor, PtkPlan, RankedView, ViewSource};
 
 /// The paper's running example (Table 1) in ranked order:
 /// positions 0..=5 are R1 (0.3), R2 (0.4), R5 (0.8), R3 (0.5), R4 (1.0),
@@ -37,4 +37,52 @@ pub fn random_view(seed: u64, max_n: usize) -> RankedView {
         cursor += 1;
     }
     RankedView::from_ranked_probs(&probs, &groups).expect("generated view is valid")
+}
+
+/// Answers `semantics` at depth `k` over `view` through the engine's
+/// generating-function scan.
+fn semantics_answer(view: &RankedView, semantics: RankSemantics, k: usize) -> SemanticsAnswer {
+    let plan = PtkPlan::try_semantics(semantics, k, None, &ExactOptions::default())
+        .expect("valid semantics plan");
+    PtkExecutor::new(&plan)
+        .execute_semantics(&mut ViewSource::new(view))
+        .expect("search completes")
+}
+
+/// The U-TopK answer: the most probable top-k vector (ranked positions)
+/// and its probability.
+pub fn utopk(view: &RankedView, k: usize) -> (Vec<usize>, f64) {
+    match semantics_answer(view, RankSemantics::UTopK, k) {
+        SemanticsAnswer::UTopK {
+            rows, probability, ..
+        } => (rows.iter().map(|r| r.position).collect(), probability),
+        other => panic!("u-topk answered {:?}", other.semantics()),
+    }
+}
+
+/// The U-KRanks answer: per rank `1..=k`, the winning ranked position and
+/// its probability of holding exactly that rank.
+pub fn ukranks(view: &RankedView, k: usize) -> Vec<(usize, f64)> {
+    match semantics_answer(view, RankSemantics::UKRanks, k) {
+        SemanticsAnswer::UKRanks(rows) => rows.iter().map(|r| (r.position, r.value)).collect(),
+        other => panic!("u-kranks answered {:?}", other.semantics()),
+    }
+}
+
+/// The `k` smallest expected ranks as `(position, expected rank)`,
+/// ascending (ties toward the smaller position).
+pub fn expected_rank_topk(view: &RankedView, k: usize) -> Vec<(usize, f64)> {
+    match semantics_answer(view, RankSemantics::ExpectedRank, k) {
+        SemanticsAnswer::ExpectedRank(rows) => rows.iter().map(|r| (r.position, r.value)).collect(),
+        other => panic!("expected-rank answered {:?}", other.semantics()),
+    }
+}
+
+/// The expected rank of every tuple, indexed by ranked position.
+pub fn expected_ranks(view: &RankedView) -> Vec<f64> {
+    let mut ranks = vec![0.0; view.len()];
+    for (position, rank) in expected_rank_topk(view, view.len()) {
+        ranks[position] = rank;
+    }
+    ranks
 }

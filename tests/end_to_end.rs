@@ -4,9 +4,8 @@
 
 mod common;
 
-use common::{panda_view, random_view};
+use common::{panda_view, random_view, ukranks, utopk};
 use ptk::engine::{evaluate_ptk, topk_probabilities, EngineOptions, SharingVariant};
-use ptk::rankers::{ukranks, utopk, UTopKOptions};
 use ptk::sampling::{sample_topk, SamplingOptions, StopCriterion};
 use ptk::worlds::naive;
 use ptk::{
@@ -113,14 +112,14 @@ fn rankers_run_end_to_end_on_random_tables() {
     for seed in 100..120u64 {
         let view = random_view(seed, 9);
         let k = 1 + (seed % 3) as usize;
-        let ut = utopk(&view, k, &UTopKOptions::default()).unwrap();
+        let (_, probability) = utopk(&view, k);
         let (oracle_vec, oracle_prob) = naive::utopk(&view, k).unwrap();
-        assert!((ut.probability - oracle_prob).abs() < 1e-10, "seed {seed}");
+        assert!((probability - oracle_prob).abs() < 1e-10, "seed {seed}");
         let _ = oracle_vec;
         let kr = ukranks(&view, k);
         let oracle = naive::ukranks(&view, k).unwrap();
         for j in 0..k {
-            assert_eq!(kr[j].position, oracle[j].0, "seed {seed} rank {j}");
+            assert_eq!(kr[j].0, oracle[j].0, "seed {seed} rank {j}");
         }
     }
 }
@@ -174,8 +173,7 @@ fn file_backed_run_answers_like_the_view_engine() {
     )
     .unwrap();
     let mut source = ptk::FileSource::open(&dir).unwrap();
-    let result =
-        ptk::evaluate_ptk_source(&mut source, 2, 0.35, &ptk::engine::StreamOptions::default());
+    let result = ptk::evaluate_ptk_source(&mut source, 2, 0.35, &EngineOptions::default());
     let ids: Vec<usize> = result.answers.iter().map(|a| a.id.index()).collect();
     assert_eq!(ids, vec![1, 4, 2]); // R2, R5, R3
     assert!((result.answers[1].probability - 0.704).abs() < 1e-12);
