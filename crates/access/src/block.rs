@@ -1,15 +1,19 @@
 //! Block-native run files (format v2): paged ranked retrieval through a
 //! pinned buffer pool.
 //!
-//! The v1 format ([`crate::file`]) streams records through a bounded
-//! buffer, but its decode cost is proportional to how far the scan reaches
-//! — every record up to the stop rank is fully decoded. This module
-//! restructures the run into fixed-size **blocks** carrying per-block
-//! bounds (record count, max membership probability, score range, rule
-//! flags), so the executor can consult the bounds *before* decoding and
-//! skip a block's decode entirely when Theorem 3(1) certifies every record
-//! in it would be pruned (only the 8-byte probability stripe is read then,
-//! since pruned tuples still join later tuples' dominant sets).
+//! A *run* holds a table's tuples sorted by score descending, so the
+//! streaming engine can answer queries over tables that never fit in
+//! memory and, thanks to the pruning rules, usually reads only the head
+//! of the file. The run is split into fixed-size **blocks** carrying
+//! per-block bounds (record count, max membership probability, score
+//! range, rule flags), so the executor can consult the bounds *before*
+//! decoding and skip a block's decode entirely when Theorem 3(1) certifies
+//! every record in it would be pruned (only the 8-byte probability stripe
+//! is read then, since pruned tuples still join later tuples' dominant
+//! sets). A run packed as a single block is a flat scan.
+//!
+//! The earlier flat v1 format is no longer read:
+//! [`PagedRun::open`] rejects it with a hint to repack from the CSV.
 //!
 //! ## Format v2 (little-endian)
 //!
@@ -27,7 +31,7 @@
 //!                        score_first: f64, score_last: f64, crc32: u32 }
 //!                       (36 bytes per entry)
 //! data        blocks × block_size bytes; each frame holds `records`
-//!                       v1-shaped 24-byte records { id: u32, rule: u32,
+//!                       24-byte records { id: u32, rule: u32,
 //!                       score: f64, prob: f64 }, zero-padded to the
 //!                       frame size; crc32 (IEEE) covers the record bytes
 //! ```
@@ -104,9 +108,11 @@ const CRC_TABLE: [u32; 256] = {
 };
 
 /// Reads the 8-byte magic of `path` and reports which run-file format it
-/// carries: `Some(2)` for the block-native v2 format, `Some(1)` for v1,
-/// `None` for anything else — including unreadable or too-short files,
-/// so callers route to an opener whose error names the real problem.
+/// carries: `Some(2)` for the block-native v2 format, `Some(1)` for the
+/// retired v1 format (which [`PagedRun::open`] rejects with a repack
+/// hint), `None` for anything else — including unreadable or too-short
+/// files, so callers route to an opener whose error names the real
+/// problem.
 pub fn run_format(path: &Path) -> Option<u32> {
     let mut magic = [0u8; 8];
     File::open(path)
@@ -134,8 +140,7 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 
 /// Every validation failure names the offending byte offset and what was
 /// expected vs. found there, so a corrupt file can be diagnosed with a hex
-/// dump instead of a debugger. Shared with the v1 reader in
-/// [`crate::file`].
+/// dump instead of a debugger.
 pub(crate) fn corrupt(
     offset: u64,
     field: impl std::fmt::Display,
@@ -182,7 +187,7 @@ impl BlockMeta {
 }
 
 /// Sorts `rows` (`(score, probability, rule)` triples; ids are assigned by
-/// input order, exactly as [`crate::write_run`]) and writes them as a
+/// input order) and writes them as a
 /// block-native v2 run file at `path`.
 ///
 /// # Errors
@@ -215,8 +220,8 @@ pub fn write_run_blocked(
         }
     }
     // Masses accumulate in input order — the same float-summation order as
-    // write_run and SortedVecSource, so Theorem 3(2) sees bit-identical
-    // rule masses on every path.
+    // SortedVecSource, so Theorem 3(2) sees bit-identical rule masses on
+    // every path.
     let mut masses = vec![0.0f64; rule_count as usize];
     for (_, prob, rule) in rows {
         if let Some(r) = rule {
@@ -561,8 +566,9 @@ impl PagedRun {
         head.copy_to_slice(&mut magic);
         if &magic == MAGIC_V1 {
             return Err(invalid(
-                "version 1 run file (magic PTKRUN01): the paged reader needs the block-native \
-                 v2 format — open it with FileSource, or repack with `ptk pack --block-size`",
+                "version 1 run file (magic PTKRUN01) is no longer read: repack it from its CSV \
+                 with `ptk pack`, which writes the block-native v2 format (--block-size sets \
+                 the block size)",
             ));
         }
         if &magic != MAGIC_V2 {
@@ -944,9 +950,8 @@ pub struct PagedCursor<'r> {
     last_score: f64,
     /// `(block, frame index)` of the pinned frame, if any.
     pinned: Option<(u64, usize)>,
-    /// A decode or IO error ends the stream permanently (matching the v1
-    /// source's swallow-and-stop contract; use [`PagedCursor::try_next`]
-    /// to observe errors as they happen, or
+    /// A decode or IO error ends the stream permanently (use
+    /// [`PagedCursor::try_next`] to observe errors as they happen, or
     /// [`PagedCursor::take_error`] after a scan).
     dead: bool,
     /// The error that killed the stream, held for [`PagedCursor::take_error`].
@@ -1511,8 +1516,19 @@ mod tests {
     #[test]
     fn open_rejects_v1_files_with_a_pointed_error() {
         let f = temp();
-        crate::file::write_run(&f.0, &panda_rows()).unwrap();
+        // A hand-made v1 file: magic, one record, no rules (44 bytes, past
+        // the 24-byte v2 header, so the magic check fires, not truncation).
+        let mut bytes = b"PTKRUN01".to_vec();
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&NO_RULE.to_le_bytes());
+        bytes.extend_from_slice(&1.0f64.to_le_bytes());
+        bytes.extend_from_slice(&0.5f64.to_le_bytes());
+        std::fs::write(&f.0, &bytes).unwrap();
         let err = PagedRun::open(&f.0, small_pool()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("ptk pack"), "{err}");
         assert!(err.to_string().contains("PTKRUN01"), "{err}");
         assert!(err.to_string().contains("--block-size"), "{err}");
     }
@@ -1669,5 +1685,49 @@ mod tests {
         assert!(text.contains("B source-open"), "{text}");
         assert!(text.contains("tuples=6 rules=2"), "{text}");
         assert!(text.contains("i file-read bytes=48"), "{text}");
+    }
+
+    #[test]
+    fn open_traced_closes_the_span_on_error() {
+        use ptk_obs::{RingSink, SharedSink};
+        let f = temp();
+        std::fs::write(&f.0, b"NOTARUN!xxxxxxxxxxxxxxxxxxx").unwrap();
+        let sink = Arc::new(RingSink::new(8));
+        let tracer = Arc::new(Tracer::new(Arc::clone(&sink) as SharedSink, 0, 0));
+        assert!(PagedRun::open_traced(&f.0, small_pool(), Arc::new(Noop), tracer).is_err());
+        // The debug drop guard would panic here if the span leaked open.
+        assert_eq!(sink.events().len(), 2, "begin + end despite the error");
+    }
+
+    #[test]
+    fn open_rejects_trailing_garbage() {
+        let f = temp();
+        write_run_blocked(&f.0, &panda_rows(), 48).unwrap();
+        let mut bytes = std::fs::read(&f.0).unwrap();
+        bytes.extend_from_slice(b"junk");
+        std::fs::write(&f.0, &bytes).unwrap();
+        let err = PagedRun::open(&f.0, small_pool()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("corrupt run file"), "{err}");
+    }
+
+    #[test]
+    fn open_recorded_counts_file_bytes_and_records() {
+        use ptk_obs::Metrics;
+        let f = temp();
+        write_run_blocked(&f.0, &panda_rows(), 48).unwrap();
+        let metrics = Arc::new(Metrics::new());
+        let run =
+            PagedRun::open_recorded(&f.0, small_pool(), Arc::clone(&metrics) as SharedRecorder)
+                .unwrap();
+        let mut cur = run.cursor();
+        while cur.next_ranked().is_some() {}
+        drop(cur);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter(counters::FILE_OPENS), 1);
+        assert_eq!(snap.counter(counters::FILE_RECORDS), 6);
+        // Everything before the data section at open, then 3 block frames.
+        let data_start = std::fs::metadata(&f.0).unwrap().len() - 3 * 48;
+        assert_eq!(snap.counter(counters::FILE_BYTES_READ), data_start + 3 * 48);
     }
 }

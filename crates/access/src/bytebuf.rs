@@ -1,6 +1,7 @@
 //! A minimal byte read/write cursor replacing the `bytes` crate.
 //!
-//! The run-file codec ([`crate::file`]) needs exactly four things: append
+//! The run-file codec ([`crate::write_run_blocked`] and
+//! [`crate::PagedRun`]) needs exactly four things: append
 //! little-endian primitives to a growable buffer, hand the accumulated
 //! bytes to `Write::write_all`, consume little-endian primitives from the
 //! front, and reuse the allocation across chunks. [`ByteBuf`] provides

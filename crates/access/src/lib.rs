@@ -17,14 +17,13 @@
 //!   TA: several per-attribute sorted lists, a monotone aggregation
 //!   function, and an emit-in-order loop that only descends the lists as
 //!   far as the consumer actually pulls;
-//! * [`FileSource`] / [`write_run`] — on-disk sorted runs in a compact
-//!   binary format (v1), streamed back with a bounded read buffer, so
-//!   tables larger than memory can still be scanned in ranking order;
-//! * [`PagedRun`] / [`write_run_blocked`] — block-native runs (format v2):
-//!   fixed-size blocks carrying per-block record counts, max membership
-//!   probability, score ranges and rule flags, read through a pinned
-//!   [`BufferPool`] so the executor can *skip a block's decode* when the
-//!   paper's Theorem 3(1) bound already prunes everything in it;
+//! * [`PagedRun`] / [`write_run_blocked`] — on-disk sorted runs in the
+//!   block-native format (v2), so tables larger than memory can still be
+//!   scanned in ranking order: fixed-size blocks carrying per-block record
+//!   counts, max membership probability, score ranges and rule flags,
+//!   read through a pinned [`BufferPool`] so the executor can *skip a
+//!   block's decode* when the paper's Theorem 3(1) bound already prunes
+//!   everything in it;
 //! * [`ByteBuf`] — the in-repo byte read/write cursor behind the run-file
 //!   codec (the workspace builds hermetically, without the `bytes` crate).
 //!
@@ -46,14 +45,14 @@
 
 mod block;
 mod bytebuf;
-mod file;
 mod source;
 mod ta;
 
 /// Metric names this crate records into a
 /// [`Recorder`](ptk_obs::Recorder) (see `DESIGN.md` §8).
 pub mod counters {
-    /// Bytes read from a run file (header, rule table and record chunks).
+    /// Bytes read from a run file (header, rule table, directory and block
+    /// frames).
     pub const FILE_BYTES_READ: &str = "access.file.bytes_read";
     /// Records decoded from a run file.
     pub const FILE_RECORDS: &str = "access.file.records";
@@ -90,7 +89,6 @@ pub use block::{
     MIN_BLOCK_BYTES,
 };
 pub use bytebuf::ByteBuf;
-pub use file::{write_run, FileSource};
 pub use source::{
     BlockBounds, RankedSource, RuleKey, SnapshotSource, SortedVecCursor, SortedVecSource,
     SourceTuple, ViewSource,

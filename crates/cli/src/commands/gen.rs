@@ -60,7 +60,7 @@ pub(super) fn cmd_generate(flags: &Flags, out: &mut dyn Write) -> Result<(), Cmd
         let query = TopKQuery::new(1, Predicate::True, ranking).map_err(|e| e.to_string())?;
         let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
         let rows = super::scan::rows_of_view(&view)?;
-        let shape = super::scan::write_packed(&out_path, &rows, Some(block_size))?;
+        let shape = super::scan::write_packed(&out_path, &rows, block_size)?;
         writeln!(
             out,
             "generated and packed {} tuples ({} rules) into {out_path} ({shape})",

@@ -930,16 +930,16 @@ mod tests {
     }
 
     #[test]
-    fn pack_block_size_scans_paged_and_bit_identical_to_v1() {
+    fn pack_block_size_scans_paged_and_bit_identical_to_the_default_pack() {
         let file = panda_file();
-        let (v1, v2) = (tempfile::path("run"), tempfile::path("run"));
+        let (flat, v2) = (tempfile::path("run"), tempfile::path("run"));
         dispatch(&args(&[
             "pack",
             file.as_str(),
             "--rank-by",
             "duration",
             "--out",
-            v1.as_str(),
+            flat.as_str(),
         ]))
         .unwrap();
         let out = dispatch(&args(&[
@@ -965,12 +965,12 @@ mod tests {
         };
         // The paged scan answers byte-for-byte like the flat scan.
         assert_eq!(
-            scan(v1.as_str(), &[]).unwrap(),
+            scan(flat.as_str(), &[]).unwrap(),
             scan(v2.as_str(), &[]).unwrap()
         );
         // Even with a single-frame pool forcing eviction on every block.
         assert_eq!(
-            scan(v1.as_str(), &[]).unwrap(),
+            scan(flat.as_str(), &[]).unwrap(),
             scan(v2.as_str(), &["--pool-frames", "1"]).unwrap()
         );
         // Stats surface the block counters.
@@ -982,8 +982,6 @@ mod tests {
         // Flag validation.
         let err = scan(v2.as_str(), &["--pool-frames", "0"]).unwrap_err();
         assert!(err.contains("--pool-frames must be at least 1"), "{err}");
-        let err = scan(v1.as_str(), &["--pool-frames", "2"]).unwrap_err();
-        assert!(err.contains("applies to block-native"), "{err}");
         // The semantics path pages too, identically to the flat file.
         let sem = |run: &str| {
             dispatch(&args(&[
@@ -998,7 +996,7 @@ mod tests {
             ]))
             .unwrap()
         };
-        let (a, b) = (sem(v1.as_str()), sem(v2.as_str()));
+        let (a, b) = (sem(flat.as_str()), sem(v2.as_str()));
         assert_eq!(a.lines().next().unwrap(), b.lines().next().unwrap());
         assert!(
             b.lines().last().unwrap().contains("access.block.read"),
@@ -1068,20 +1066,27 @@ mod tests {
         assert!(out.contains("block    0: ranks        0..1"), "{out}");
         assert!(out.contains("max-p 0.4000"), "{out}");
         assert!(out.contains("rule-closed"), "{out}");
-        // A v1 file reports its shape and the repack hint.
+        // A retired v1 file (magic, one record, no rules) gets the repack
+        // hint instead of a block directory.
         let v1 = tempfile::path("run");
-        dispatch(&args(&[
-            "pack",
-            file.as_str(),
-            "--rank-by",
-            "duration",
-            "--out",
-            v1.as_str(),
-        ]))
-        .unwrap();
-        let out = dispatch(&args(&["inspect", v1.as_str()])).unwrap();
-        assert!(out.contains("run file (v1, flat)"), "{out}");
-        assert!(out.contains("repack with `ptk pack --block-size`"), "{out}");
+        let mut bytes = b"PTKRUN01".to_vec();
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&1.0f64.to_le_bytes());
+        bytes.extend_from_slice(&0.5f64.to_le_bytes());
+        std::fs::write(v1.as_str(), &bytes).unwrap();
+        let err = dispatch(&args(&["inspect", v1.as_str()])).unwrap_err();
+        assert!(err.contains("PTKRUN01"), "{err}");
+        assert!(
+            err.contains("repack it from its CSV with `ptk pack`"),
+            "{err}"
+        );
+        let err = dispatch(&args(&["scan", v1.as_str(), "--k", "2", "--p", "0.35"])).unwrap_err();
+        assert!(
+            err.contains("repack it from its CSV with `ptk pack`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2018,6 +2023,105 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("takes no --p"), "{err}");
+    }
+
+    /// A 2000-tuple run of the synthetic generator, packed by
+    /// `generate --out` in the default block size.
+    fn synthetic_run() -> tempfile::TempPath {
+        let run = tempfile::path("run");
+        dispatch(&args(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "2000",
+            "--rules",
+            "200",
+            "--seed",
+            "13",
+            "--out",
+            run.as_str(),
+        ]))
+        .unwrap();
+        run
+    }
+
+    #[test]
+    fn scan_no_prune_streams_every_record() {
+        let run = synthetic_run();
+        let scan = |extra: &[&str]| {
+            let mut argv = args(&["scan", run.as_str(), "--k", "10", "--p", "0.3"]);
+            argv.extend(extra.iter().map(|s| (*s).to_owned()));
+            dispatch(&argv).unwrap()
+        };
+        let pruned = scan(&[]);
+        assert!(pruned.contains("streamed 64 of 2000 records"), "{pruned}");
+        let full = scan(&["--no-prune"]);
+        assert!(full.contains("streamed 2000 of 2000 records"), "{full}");
+        // Pruning never changes the answer rows.
+        assert_eq!(
+            pruned.lines().skip(1).collect::<Vec<_>>(),
+            full.lines().skip(1).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn scan_semantics_trace_is_written_and_valid() {
+        let file = panda_file();
+        let run = tempfile::path("run");
+        dispatch(&args(&[
+            "pack",
+            file.as_str(),
+            "--rank-by",
+            "duration",
+            "--out",
+            run.as_str(),
+        ]))
+        .unwrap();
+        for semantics in ["u_topk", "u_kranks", "global_topk", "expected_rank"] {
+            let trace = tempfile::path("json");
+            dispatch(&args(&[
+                "scan",
+                run.as_str(),
+                "--k",
+                "2",
+                "--semantics",
+                semantics,
+                "--trace",
+                trace.as_str(),
+                "--slow-ms",
+                "10000",
+            ]))
+            .unwrap();
+            let text = std::fs::read_to_string(&trace.0)
+                .unwrap_or_else(|e| panic!("{semantics}: no trace file: {e}"));
+            assert!(text.contains("source-open"), "{semantics}: {text}");
+            let out = dispatch(&args(&["trace-check", trace.as_str()])).unwrap();
+            assert!(out.starts_with("valid Chrome trace"), "{semantics}: {out}");
+        }
+    }
+
+    #[test]
+    fn scan_rejects_table_only_flags() {
+        let run = tempfile::path("run");
+        for extra in [
+            &["--where", "duration>=12"][..],
+            &["--rank-by", "duration"],
+            &["--asc"],
+            &["--method", "sampling"],
+            &["--explain"],
+        ] {
+            let mut argv = args(&["scan", run.as_str(), "--k", "2", "--p", "0.35"]);
+            argv.extend(extra.iter().map(|s| (*s).to_owned()));
+            let err = dispatch(&argv).unwrap_err();
+            assert!(err.contains(extra[0]), "{extra:?}: {err}");
+            assert!(
+                err.contains(
+                    "run files are already ranked and carry no attribute columns; \
+                     apply it before `ptk pack`"
+                ),
+                "{extra:?}: {err}"
+            );
+        }
     }
 
     #[test]

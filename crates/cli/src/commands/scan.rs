@@ -1,26 +1,26 @@
-//! Packed run files: `pack` (CSV -> binary run, v1 or block-native v2),
-//! `scan` (progressive PT-k retrieval over a run file without
-//! materializing a view; v2 files stream through the pinned buffer pool)
-//! and the run-file half of `inspect` (header + block directory).
+//! Packed run files: `pack` (CSV -> block-native binary run), `scan`
+//! (progressive retrieval over a run file through the pinned buffer pool,
+//! without materializing a view) and the run-file half of `inspect`
+//! (header + block directory).
 
 use std::io::Write;
 use std::sync::Arc;
 
 use ptk_access::{
-    run_format, write_run, write_run_blocked, FileSource, PagedRun, PoolConfig, RankedSource,
+    write_run_blocked, PagedRun, PoolConfig, RankedSource, DEFAULT_BLOCK_BYTES,
     DEFAULT_FRAME_BYTES, DEFAULT_POOL_FRAMES,
 };
 use ptk_core::{Predicate, RankedView, TopKQuery};
-use ptk_engine::{
-    evaluate_ptk_source_recorded, EngineOptions, PtkExecutor, PtkPlan, RankSemantics,
-    SemanticsAnswer,
-};
-use ptk_obs::{Metrics, Noop, QueryFlight, Recorder, SharedRecorder, SharedSink, Tracer};
+use ptk_engine::{PtkExecutor, PtkPlan, RankSemantics, SemanticsAnswer};
+use ptk_obs::{Metrics, Noop, QueryFlight, SharedRecorder, SharedSink, Tracer};
 
 use super::render::{stats_mode, write_audit, write_stats};
 use super::sql::flight_fingerprint;
 use super::trace::trace_opts;
-use super::{build_ranking, load_from_flags, semantics_from_flags, CmdError, Flags};
+use super::{
+    build_ranking, engine_options_from_flags, load_from_flags, semantics_from_flags, CmdError,
+    Flags,
+};
 
 /// Run-file rows in CSV order: score from the ranked column, rule keys
 /// from the view's dense handles. Shared by `pack` and `generate --out`.
@@ -37,26 +37,17 @@ pub(super) fn rows_of_view(view: &RankedView) -> Result<Vec<(f64, f64, Option<u3
     Ok(rows)
 }
 
-/// Writes `rows` at `out_path` — block-native v2 when a block size is
-/// given, the flat v1 format otherwise — and describes the file written.
+/// Writes `rows` at `out_path` as a block-native run of `block_size`-byte
+/// blocks and describes the file written.
 pub(super) fn write_packed(
     out_path: &str,
     rows: &[(f64, f64, Option<u32>)],
-    block_size: Option<u32>,
+    block_size: u32,
 ) -> Result<String, String> {
-    let path = std::path::Path::new(out_path);
-    match block_size {
-        Some(size) => {
-            write_run_blocked(path, rows, size).map_err(|e| e.to_string())?;
-            let capacity = size as usize / 24;
-            let blocks = rows.len().div_ceil(capacity).max(1);
-            Ok(format!("{blocks} blocks of {size} B"))
-        }
-        None => {
-            write_run(path, rows).map_err(|e| e.to_string())?;
-            Ok("v1".to_owned())
-        }
-    }
+    write_run_blocked(std::path::Path::new(out_path), rows, block_size)
+        .map_err(|e| e.to_string())?;
+    let blocks = rows.len().div_ceil(block_size as usize / 24).max(1);
+    Ok(format!("{blocks} blocks of {block_size} B"))
 }
 
 pub(super) fn cmd_pack(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
@@ -66,7 +57,8 @@ pub(super) fn cmd_pack(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
     let query = TopKQuery::new(1, Predicate::True, ranking).map_err(|e| e.to_string())?;
     let view = RankedView::build(&table, &query).map_err(|e| e.to_string())?;
     let rows = rows_of_view(&view)?;
-    let shape = write_packed(&out_path, &rows, flags.get("block-size")?)?;
+    let block_size = flags.get("block-size")?.unwrap_or(DEFAULT_BLOCK_BYTES);
+    let shape = write_packed(&out_path, &rows, block_size)?;
     writeln!(
         out,
         "packed {} tuples ({} rules) into {out_path} ({shape})",
@@ -92,217 +84,119 @@ fn pool_from_scan_flags(flags: &Flags) -> Result<PoolConfig, String> {
     })
 }
 
-/// Rejects `--pool-frames` on files the pool cannot serve, so the flag is
-/// never a silent no-op.
-fn check_pool_flags(flags: &Flags, paged: bool) -> Result<(), String> {
-    if !paged && flags.named.contains_key("pool-frames") {
-        return Err(
-            "--pool-frames applies to block-native (v2) run files; repack this file with \
-             `ptk pack --block-size` first"
-                .into(),
-        );
-    }
-    Ok(())
-}
+/// Flags of the CSV-reading commands that have no meaning on a run file.
+const TABLE_ONLY_FLAGS: [&str; 5] = ["where", "rank-by", "asc", "method", "explain"];
 
+/// `ptk scan`: progressive retrieval over a run file feeding the engine
+/// (PT-k with pruning, every other semantics through the
+/// generating-function scan). Run files carry no attribute columns, so
+/// rows render by CSV row id and score.
 pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     let path = flags.positional.get(1).ok_or("missing run file argument")?;
+    if let Some(flag) = TABLE_ONLY_FLAGS
+        .iter()
+        .find(|f| flags.named.contains_key(**f) || flags.switch(f))
+    {
+        return Err(format!(
+            "scan takes no --{flag}: run files are already ranked and carry no attribute \
+             columns; apply it before `ptk pack`"
+        )
+        .into());
+    }
     let k: usize = flags.require("k")?;
     let semantics = semantics_from_flags(flags)?;
-    if semantics != RankSemantics::Ptk {
-        return scan_semantics(flags, out, path, k, semantics);
-    }
-    let p: f64 = flags.require("p")?;
-    // Validate up front: the streaming entry point plans internally and
-    // would panic on k == 0 or a threshold outside (0, 1] (NaN included).
-    // The plan also feeds the --audit flight record (description and
-    // fingerprint) — it is exactly what the streaming evaluator builds.
-    let plan = ptk_engine::PtkPlan::try_new(k, p, &ptk_engine::EngineOptions::default())
-        .map_err(|e| e.to_string())?;
-    let stats = stats_mode(flags)?;
-    let trace = trace_opts(flags)?;
-    let audit = flags.switch("audit");
-    let recording = stats.is_some() || audit;
-    let metrics = Arc::new(Metrics::new());
-    let recorder: &dyn Recorder = if recording { metrics.as_ref() } else { &Noop };
-    let mut flight = audit.then(|| {
-        let label = format!("scan k={k} p={p}");
-        QueryFlight {
-            plan: plan.describe(),
-            semantics: RankSemantics::Ptk.keyword().to_owned(),
-            ks: vec![k as u64],
-            thresholds: vec![p],
-            fingerprint: Some(flight_fingerprint(&label, &[plan.fingerprint()])),
-            label,
-            ..QueryFlight::default()
-        }
-    });
-    // Tracing instruments the file source itself (source-open span and
-    // per-refill read marks), so the tracer is threaded into the source.
-    let sink = trace.active().then(|| trace.sink());
-    let tracer = sink
-        .as_ref()
-        .map(|s| Arc::new(Tracer::new(Arc::clone(s) as SharedSink, 0, 0)));
-    let shared_recorder: SharedRecorder = if recording {
-        Arc::clone(&metrics) as SharedRecorder
-    } else {
-        Arc::new(Noop)
-    };
-    let file_path = std::path::Path::new(path);
-    let paged = run_format(file_path) == Some(2);
-    check_pool_flags(flags, paged)?;
-    let mut file_source;
-    let paged_run;
-    let mut paged_cursor = None;
-    let (source, total): (&mut dyn RankedSource, u64) = if paged {
-        let pool = pool_from_scan_flags(flags)?;
-        paged_run = match &tracer {
-            Some(t) => PagedRun::open_traced(file_path, pool, shared_recorder, Arc::clone(t)),
-            None if recording => PagedRun::open_recorded(file_path, pool, shared_recorder),
-            None => PagedRun::open(file_path, pool),
-        }
-        .map_err(|e| e.to_string())?;
-        let total = paged_run.tuples();
-        (paged_cursor.insert(paged_run.cursor()), total)
-    } else {
-        file_source = match &tracer {
-            Some(t) => FileSource::open_traced(file_path, shared_recorder, Arc::clone(t)),
-            None if recording => FileSource::open_recorded(file_path, shared_recorder),
-            None => FileSource::open(file_path),
-        }
-        .map_err(|e| e.to_string())?;
-        let total = file_source.remaining();
-        (&mut file_source, total)
-    };
-    let result =
-        evaluate_ptk_source_recorded(&mut *source, k, p, &EngineOptions::default(), recorder);
-    if let Some(f) = flight.as_mut() {
-        f.stop = result
-            .stats
-            .stop
-            .map_or(String::new(), |s| format!("{s:?}"));
-    }
-    let retrieved = source.retrieved();
-    // The engine sees a cursor IO/corruption error as end-of-stream; a
-    // silent short answer must not pass for a clean early stop.
-    if let Some(e) = paged_cursor.as_mut().and_then(|c| c.take_error()) {
-        return Err(e.to_string().into());
-    }
-    writeln!(
-        out,
-        "{} tuples pass Pr^{k} >= {p} (streamed {} of {total} records{})",
-        result.answers.len(),
-        retrieved,
-        result
-            .stats
-            .stop
-            .map_or(String::new(), |s| format!(", stopped early: {s:?}"))
-    )?;
-    for a in &result.answers {
-        writeln!(
-            out,
-            "  row {:>6}  score {:>12.4}  Pr^k = {:.4}",
-            a.id.index(),
-            a.score,
-            a.probability
-        )?;
-    }
-    if let (Some(sink), Some(tracer)) = (&sink, &tracer) {
-        let events = sink.events();
-        trace.write_file(&events)?;
-        trace.log_slow(
-            &format!("scan k={k} p={p}"),
-            tracer.elapsed_nanos(),
-            &events,
-            &mut std::io::stderr(),
-        );
-    }
-    write_stats(out, stats, &metrics)?;
-    if let Some(mut f) = flight {
-        f.absorb_counters(&metrics.snapshot());
-        write_audit(out, f)?;
-    }
-    Ok(())
-}
-
-/// The `--semantics` path of `ptk scan`: progressive retrieval over the run
-/// file feeding the engine's generating-function scan. Run files carry no
-/// attribute columns, so rows render by CSV row id and score.
-fn scan_semantics(
-    flags: &Flags,
-    out: &mut dyn Write,
-    path: &str,
-    k: usize,
-    semantics: RankSemantics,
-) -> Result<(), CmdError> {
-    if flags.named.contains_key("p") {
+    let p = if semantics == RankSemantics::Ptk {
+        Some(flags.require::<f64>("p")?)
+    } else if flags.named.contains_key("p") {
         return Err(format!(
             "--semantics {} takes no --p; probability thresholds parameterize PT-k only",
             semantics.keyword()
         )
         .into());
-    }
-    let plan = PtkPlan::try_semantics(semantics, k, None, &ptk_engine::EngineOptions::default())
+    } else {
+        None
+    };
+    // Validate up front: k == 0 or a threshold outside (0, 1] (NaN
+    // included) is a plan error, not a panic in the executor.
+    let plan = PtkPlan::try_semantics(semantics, k, p, &engine_options_from_flags(flags))
         .map_err(|e| e.to_string())?;
+    let label = match p {
+        Some(p) => format!("scan k={k} p={p}"),
+        None => format!("scan --semantics {} k={k}", semantics.keyword()),
+    };
     let stats = stats_mode(flags)?;
+    let trace = trace_opts(flags)?;
     let audit = flags.switch("audit");
     let recording = stats.is_some() || audit;
     let metrics = Arc::new(Metrics::new());
-    let recorder: &dyn Recorder = if recording { metrics.as_ref() } else { &Noop };
-    let flight = audit.then(|| {
-        let label = format!("scan --semantics {} k={k}", semantics.keyword());
-        QueryFlight {
-            plan: plan.describe(),
-            semantics: semantics.keyword().to_owned(),
-            ks: vec![k as u64],
-            fingerprint: Some(flight_fingerprint(&label, &[plan.fingerprint()])),
-            label,
-            ..QueryFlight::default()
-        }
-    });
-    let shared_recorder: SharedRecorder = if recording {
+    let recorder: SharedRecorder = if recording {
         Arc::clone(&metrics) as SharedRecorder
     } else {
         Arc::new(Noop)
     };
+    let mut flight = audit.then(|| QueryFlight {
+        plan: plan.describe(),
+        semantics: semantics.keyword().to_owned(),
+        ks: vec![k as u64],
+        thresholds: p.into_iter().collect(),
+        fingerprint: Some(flight_fingerprint(&label, &[plan.fingerprint()])),
+        label: label.clone(),
+        ..QueryFlight::default()
+    });
+    // Tracing instruments the run file itself (source-open span and
+    // per-block read marks) as well as the executor.
+    let sink = trace.active().then(|| trace.sink());
+    let tracer = sink
+        .as_ref()
+        .map(|s| Arc::new(Tracer::new(Arc::clone(s) as SharedSink, 0, 0)));
     let file_path = std::path::Path::new(path);
-    let paged = run_format(file_path) == Some(2);
-    check_pool_flags(flags, paged)?;
-    let mut file_source;
-    let paged_run;
-    let mut paged_cursor = None;
-    let (source, total): (&mut dyn RankedSource, u64) = if paged {
-        let pool = pool_from_scan_flags(flags)?;
-        paged_run = if recording {
-            PagedRun::open_recorded(file_path, pool, shared_recorder)
-        } else {
-            PagedRun::open(file_path, pool)
-        }
+    let pool = pool_from_scan_flags(flags)?;
+    let file_recorder = Arc::clone(&recorder);
+    let run = match &tracer {
+        Some(t) => PagedRun::open_traced(file_path, pool, file_recorder, Arc::clone(t)),
+        None => PagedRun::open_recorded(file_path, pool, file_recorder),
+    }
+    .map_err(|e| e.to_string())?;
+    let mut cursor = run.cursor();
+    let mut executor = PtkExecutor::with_recorder(&plan, recorder.as_ref());
+    if let Some(t) = &tracer {
+        executor = executor.with_tracer(t);
+    }
+    let answer = executor
+        .execute_semantics(&mut cursor)
         .map_err(|e| e.to_string())?;
-        let total = paged_run.tuples();
-        (paged_cursor.insert(paged_run.cursor()), total)
-    } else {
-        file_source = if recording {
-            FileSource::open_recorded(file_path, shared_recorder)
-        } else {
-            FileSource::open(file_path)
-        }
-        .map_err(|e| e.to_string())?;
-        let total = file_source.remaining();
-        (&mut file_source, total)
-    };
-    let answer = PtkExecutor::with_recorder(&plan, recorder)
-        .execute_semantics(&mut *source)
-        .map_err(|e| e.to_string())?;
-    let streamed = format!("streamed {} of {total} records", source.retrieved());
     // The engine sees a cursor IO/corruption error as end-of-stream; a
     // silent short answer must not pass for a clean early stop.
-    if let Some(e) = paged_cursor.as_mut().and_then(|c| c.take_error()) {
+    if let Some(e) = cursor.take_error() {
         return Err(e.to_string().into());
     }
+    let streamed = format!(
+        "streamed {} of {} records",
+        cursor.retrieved(),
+        run.tuples()
+    );
     match &answer {
-        SemanticsAnswer::Ptk(_) => {
-            return Err("internal: PT-k scans take the threshold path".into())
+        SemanticsAnswer::Ptk(result) => {
+            let stop = result.stats.stop.map(|s| format!("{s:?}"));
+            if let Some(f) = flight.as_mut() {
+                f.stop = stop.clone().unwrap_or_default();
+            }
+            writeln!(
+                out,
+                "{} tuples pass Pr^{k} >= {} ({streamed}{})",
+                result.answers.len(),
+                p.unwrap_or_default(),
+                stop.map_or(String::new(), |s| format!(", stopped early: {s}"))
+            )?;
+            for a in &result.answers {
+                writeln!(
+                    out,
+                    "  row {:>6}  score {:>12.4}  Pr^k = {:.4}",
+                    a.id.index(),
+                    a.score,
+                    a.probability
+                )?;
+            }
         }
         SemanticsAnswer::UTopK {
             rows, probability, ..
@@ -359,6 +253,16 @@ fn scan_semantics(
             }
         }
     }
+    if let (Some(sink), Some(tracer)) = (&sink, &tracer) {
+        let events = sink.events();
+        trace.write_file(&events)?;
+        trace.log_slow(
+            &label,
+            tracer.elapsed_nanos(),
+            &events,
+            &mut std::io::stderr(),
+        );
+    }
     write_stats(out, stats, &metrics)?;
     if let Some(mut f) = flight {
         f.absorb_counters(&metrics.snapshot());
@@ -367,29 +271,13 @@ fn scan_semantics(
     Ok(())
 }
 
-/// The run-file half of `ptk inspect`: a v2 file prints its header and
-/// block directory (per block: rank range, score range, max membership
-/// probability and rule flags — exactly what the executor's block-level
-/// Theorem 3 bound consults); a v1 file prints its shape and how to
-/// repack it.
-pub(super) fn cmd_inspect_run(
-    path: &str,
-    format: u32,
-    out: &mut dyn Write,
-) -> Result<(), CmdError> {
-    let file_path = std::path::Path::new(path);
-    if format == 1 {
-        let source = FileSource::open(file_path).map_err(|e| e.to_string())?;
-        writeln!(out, "run file (v1, flat)")?;
-        writeln!(out, "tuples:     {}", source.remaining())?;
-        writeln!(
-            out,
-            "no block directory; repack with `ptk pack --block-size` for paged scans"
-        )?;
-        return Ok(());
-    }
+/// The run-file half of `ptk inspect`: the header and block directory
+/// (per block: rank range, score range, max membership probability and
+/// rule flags — exactly what the executor's block-level Theorem 3 bound
+/// consults). A retired v1 file gets the reader's repack error.
+pub(super) fn cmd_inspect_run(path: &str, out: &mut dyn Write) -> Result<(), CmdError> {
     let run = PagedRun::open(
-        file_path,
+        std::path::Path::new(path),
         PoolConfig {
             frames: 1,
             frame_bytes: DEFAULT_FRAME_BYTES,

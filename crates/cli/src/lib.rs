@@ -55,7 +55,7 @@ USAGE:
   ptk pack    <file.csv> --rank-by <col> --out <file.run> [--block-size B]
   ptk scan    <file.run> --k <K> --p <P> [--stats text|json|prom]
               [--semantics ptk|u_topk|u_kranks|global_topk|expected_rank]
-              [--pool-frames N]
+              [--pool-frames N] [--no-prune]
               [--trace <file> [--trace-format chrome|logical]] [--slow-ms N]
               [--audit]
   ptk trace-check <trace.json>
@@ -104,7 +104,7 @@ environment variable, else 1). Answers are bit-identical at every thread
 count — threads only change wall-clock time. Batched sql statements must
 be exact PT-k queries sharing one WHERE and ORDER BY.
 
-`--no-prune` (query, sql; exact method only) disables the paper's §4.4
+`--no-prune` (query, sql, scan; exact method only) disables the paper's §4.4
 pruning rules so every tuple is evaluated and all answer probabilities are
 reported. Pruning-free scans are also the shape the executor can partition:
 with `--threads N` it splits even a single query's ranked scan at
@@ -114,15 +114,19 @@ are rank-local; `generate synthetic --rule-span W` produces that regime
 (each rule's members inside a random W-rank window) where the default
 uniform scatter does not.
 
-`pack --block-size B` writes the block-native run format (v2): fixed
-B-byte blocks, each with a directory entry carrying its record count, max
-membership probability, score range and rule flags. `scan` detects the
-format by magic; v2 files stream through a pinned buffer pool
+`pack` writes the block-native run format (v2): fixed B-byte blocks
+(`--block-size B`, default 4096), each with a directory entry carrying
+its record count, max membership probability, score range and rule
+flags. `scan` streams the file through a pinned buffer pool
 (`--pool-frames` bounds resident frames) and the PT-k executor skips the
 full decode of rule-free blocks whose max probability is already under
 the Theorem 3(1) bound — bit-identical answers, fewer decoded bytes
-(`--stats` counters `access.block.*`). `inspect <file.run>` prints the
-block directory. `generate … --out file.run` packs a dataset directly.
+(`--stats` counters `access.block.*`). Run files are already ranked and
+carry no attribute columns, so `scan` rejects `--where`, `--rank-by`,
+`--asc`, `--method` and `--explain`; apply them before `pack`. Files of
+the retired flat format (v1) must be repacked from their CSV. `inspect
+<file.run>` prints the block directory. `generate … --out file.run`
+packs a dataset directly.
 
 `serve` loads the CSV once and answers the same SQL dialect over a minimal
 HTTP/1.1 + JSON surface until `POST /shutdown`: `POST /sql` (statement in
