@@ -85,10 +85,13 @@ pub const DEFAULT_POOL_FRAMES: usize = 64;
 /// block-size range; larger blocks need an explicitly larger frame).
 pub const DEFAULT_FRAME_BYTES: usize = 64 << 10;
 
-/// IEEE CRC-32 lookup table (polynomial `0xEDB88320`), built at compile
-/// time so the codec stays dependency-free.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 slicing-by-8 tables (reflected polynomial `0xEDB88320`),
+/// built at compile time so the codec stays dependency-free.
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[t][b]`
+/// is the CRC of byte `b` followed by `t` zero bytes, so one step folds
+/// eight input bytes with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -101,10 +104,20 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// Reads the 8-byte magic of `path` and reports which run-file format it
@@ -125,11 +138,27 @@ pub fn run_format(path: &Path) -> Option<u32> {
     }
 }
 
-/// IEEE CRC-32 of `bytes` (the checksum in each directory entry).
+/// IEEE CRC-32 of `bytes` (the checksum in each directory entry), eight
+/// bytes per step (slicing-by-8); the tail shorter than eight bytes goes
+/// through the byte-at-a-time table.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -184,6 +213,13 @@ impl BlockMeta {
                 0
             })
     }
+}
+
+/// Number of blocks [`write_run_blocked`] writes for `records` records at
+/// `block_size` bytes per block: full blocks plus one partial block, and
+/// none at all for an empty run.
+pub fn block_count(records: usize, block_size: u32) -> usize {
+    records.div_ceil(block_size as usize / RECORD_BYTES)
 }
 
 /// Sorts `rows` (`(score, probability, rule)` triples; ids are assigned by
@@ -243,7 +279,7 @@ pub fn write_run_blocked(
     }
 
     let capacity = block_size as usize / RECORD_BYTES;
-    let blocks = rows.len().div_ceil(capacity);
+    let blocks = block_count(rows.len(), block_size);
     // Which blocks have a rule spanning their trailing boundary.
     let mut spanned = vec![false; blocks];
     for ranks in &rule_ranks {
@@ -1211,6 +1247,7 @@ impl RankedSource for PagedCursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptk_core::rng::{RngCore, SeedableRng, StdRng};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1251,6 +1288,44 @@ mod tests {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The textbook bit-at-a-time CRC-32 of every prefix of `bytes`:
+    /// `out[len]` is the checksum of `bytes[..len]`. This is the reference
+    /// the sliced [`crc32`] must reproduce.
+    fn crc32_bytewise_prefixes(bytes: &[u8]) -> Vec<u32> {
+        let mut c = 0xFFFF_FFFFu32;
+        let mut out = vec![!c];
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            out.push(!c);
+        }
+        out
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bytewise_reference() {
+        // Seeded bytes, long enough for every length up to a 4 KiB block
+        // plus a partial slice, at every start alignment.
+        let mut rng = StdRng::seed_from_u64(0xc3c3);
+        let bytes: Vec<u8> = (0..4103 + 8).map(|_| rng.next_u64() as u8).collect();
+        for start in 0..8 {
+            let reference = crc32_bytewise_prefixes(&bytes[start..start + 4103]);
+            for (len, &want) in reference.iter().enumerate() {
+                assert_eq!(
+                    crc32(&bytes[start..start + len]),
+                    want,
+                    "start {start}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]

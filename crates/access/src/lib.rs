@@ -84,9 +84,9 @@ pub mod counters {
 }
 
 pub use block::{
-    crc32, run_format, write_run_blocked, BlockMeta, BufferPool, PagedCursor, PagedRun, PoolConfig,
-    DEFAULT_BLOCK_BYTES, DEFAULT_FRAME_BYTES, DEFAULT_POOL_FRAMES, MAX_BLOCK_BYTES,
-    MIN_BLOCK_BYTES,
+    block_count, crc32, run_format, write_run_blocked, BlockMeta, BufferPool, PagedCursor,
+    PagedRun, PoolConfig, DEFAULT_BLOCK_BYTES, DEFAULT_FRAME_BYTES, DEFAULT_POOL_FRAMES,
+    MAX_BLOCK_BYTES, MIN_BLOCK_BYTES,
 };
 pub use bytebuf::ByteBuf;
 pub use source::{

@@ -12,6 +12,18 @@ use crate::load::save_table;
 use super::{CmdError, Flags};
 
 pub(super) fn cmd_generate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
+    flags.only(
+        "generate",
+        &[
+            "seed",
+            "tuples",
+            "rules",
+            "rule-span",
+            "out",
+            "block-size",
+            "rank-by",
+        ],
+    )?;
     let kind = flags
         .positional
         .get(1)
@@ -38,6 +50,9 @@ pub(super) fn cmd_generate(flags: &Flags, out: &mut dyn Write) -> Result<(), Cmd
             SyntheticDataset::generate(&config).table
         }
         "iip" => {
+            if flags.named.contains_key("rule-span") {
+                return Err("--rule-span applies to synthetic data only".into());
+            }
             let config = IipConfig {
                 tuples: flags.get("tuples")?.unwrap_or(1_000),
                 rules: flags.get("rules")?.unwrap_or(200),
@@ -69,8 +84,11 @@ pub(super) fn cmd_generate(flags: &Flags, out: &mut dyn Write) -> Result<(), Cmd
         )?;
         return Ok(());
     }
-    if flags.named.contains_key("block-size") {
-        return Err("--block-size requires --out <file.run>".into());
+    if let Some(flag) = ["block-size", "rank-by"]
+        .into_iter()
+        .find(|f| flags.named.contains_key(*f))
+    {
+        return Err(format!("--{flag} requires --out <file.run>").into());
     }
     out.write_all(save_table(&table).as_bytes())?;
     Ok(())

@@ -179,6 +179,22 @@ impl Flags {
     fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
+
+    /// Rejects any flag outside `reads`, the flags `command` reads. The
+    /// parser accepts every command's flags for every command, so without
+    /// this a flag meant for another command would be silently ignored.
+    fn only(&self, command: &str, reads: &[&str]) -> Result<(), String> {
+        let stray = self
+            .named
+            .keys()
+            .chain(&self.switches)
+            .filter(|name| !reads.contains(&name.as_str()))
+            .min();
+        match stray {
+            Some(name) => Err(format!("{command} takes no --{name}")),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Builds the worker pool for batch execution: `--threads N` wins, else the
@@ -893,6 +909,84 @@ mod tests {
         assert_eq!(err, "unknown flag --wehre");
         let err = dispatch(&args(&["serve", file.as_str(), "--verbose"])).unwrap_err();
         assert_eq!(err, "unknown flag --verbose");
+    }
+
+    #[test]
+    fn commands_reject_flags_they_never_read() {
+        let file = panda_file();
+        let run = tempfile::path("run");
+        let pack = |extra: &[&str]| {
+            let mut line = vec![
+                "pack",
+                file.as_str(),
+                "--rank-by",
+                "duration",
+                "--out",
+                run.as_str(),
+            ];
+            line.extend_from_slice(extra);
+            dispatch(&args(&line))
+        };
+        assert_eq!(
+            pack(&["--threads", "4"]).unwrap_err(),
+            "pack takes no --threads"
+        );
+        pack(&[]).unwrap();
+        let err = dispatch(&args(&[
+            "scan",
+            run.as_str(),
+            "--k",
+            "2",
+            "--p",
+            "0.3",
+            "--threads",
+            "4",
+            "--seed",
+            "9",
+            "--limit",
+            "1",
+            "--cache",
+            "3",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "scan takes no --cache");
+        let err = dispatch(&args(&["inspect", run.as_str(), "--k", "2"])).unwrap_err();
+        assert_eq!(err, "inspect takes no --k");
+        let err = dispatch(&args(&[
+            "generate",
+            "synthetic",
+            "--tuples",
+            "9",
+            "--p",
+            "0.3",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "generate takes no --p");
+        let err = dispatch(&args(&["generate", "iip", "--rule-span", "4"])).unwrap_err();
+        assert!(err.contains("synthetic data only"), "{err}");
+        let err = dispatch(&args(&["generate", "synthetic", "--rank-by", "score"])).unwrap_err();
+        assert_eq!(err, "--rank-by requires --out <file.run>");
+        let err = dispatch(&args(&["trace-check", "t.json", "--stats", "json"])).unwrap_err();
+        assert_eq!(err, "trace-check takes no --stats");
+    }
+
+    #[test]
+    fn packing_an_empty_table_reports_the_blocks_written() {
+        let file = tempfile::csv("prob,score\n");
+        let run = tempfile::path("run");
+        let out = dispatch(&args(&[
+            "pack",
+            file.as_str(),
+            "--rank-by",
+            "score",
+            "--out",
+            run.as_str(),
+        ]))
+        .unwrap();
+        assert!(out.contains("packed 0 tuples"), "{out}");
+        assert!(out.contains("(0 blocks of 4096 B)"), "{out}");
+        let out = dispatch(&args(&["inspect", run.as_str()])).unwrap();
+        assert!(out.contains("blocks:     0"), "{out}");
     }
 
     #[test]

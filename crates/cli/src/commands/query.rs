@@ -428,6 +428,7 @@ pub(super) fn cmd_worlds(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdEr
 }
 
 pub(super) fn cmd_inspect(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
+    flags.only("inspect", &[])?;
     // A run-file argument (recognized by magic) prints the file's block
     // directory instead of table statistics.
     if let Some(path) = flags.positional.get(1) {

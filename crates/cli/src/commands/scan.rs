@@ -7,7 +7,7 @@ use std::io::Write;
 use std::sync::Arc;
 
 use ptk_access::{
-    write_run_blocked, PagedRun, PoolConfig, RankedSource, DEFAULT_BLOCK_BYTES,
+    block_count, write_run_blocked, PagedRun, PoolConfig, RankedSource, DEFAULT_BLOCK_BYTES,
     DEFAULT_FRAME_BYTES, DEFAULT_POOL_FRAMES,
 };
 use ptk_core::{Predicate, RankedView, TopKQuery};
@@ -46,11 +46,12 @@ pub(super) fn write_packed(
 ) -> Result<String, String> {
     write_run_blocked(std::path::Path::new(out_path), rows, block_size)
         .map_err(|e| e.to_string())?;
-    let blocks = rows.len().div_ceil(block_size as usize / 24).max(1);
+    let blocks = block_count(rows.len(), block_size);
     Ok(format!("{blocks} blocks of {block_size} B"))
 }
 
 pub(super) fn cmd_pack(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
+    flags.only("pack", &["out", "rank-by", "asc", "block-size"])?;
     let table = load_from_flags(flags)?;
     let out_path: String = flags.require("out")?;
     let ranking = build_ranking(flags, &table)?;
@@ -103,6 +104,21 @@ pub(super) fn cmd_scan(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdErro
         )
         .into());
     }
+    flags.only(
+        "scan",
+        &[
+            "k",
+            "p",
+            "semantics",
+            "no-prune",
+            "pool-frames",
+            "stats",
+            "audit",
+            "trace",
+            "trace-format",
+            "slow-ms",
+        ],
+    )?;
     let k: usize = flags.require("k")?;
     let semantics = semantics_from_flags(flags)?;
     let p = if semantics == RankSemantics::Ptk {

@@ -158,6 +158,7 @@ pub(super) fn slow_query_summary(label: &str, elapsed_nanos: u64, events: &[Trac
 /// structurally (JSON shape, required keys, balanced B/E per lane) with the
 /// in-repo checker. Zero dependencies, suitable for offline CI.
 pub(super) fn cmd_trace_check(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
+    flags.only("trace-check", &[])?;
     let path = flags
         .positional
         .get(1)

@@ -18,11 +18,14 @@
 //! `Bencher::iter(f)` times batches of calls to `f`, growing the batch
 //! until one batch takes ≥ 1 ms (so per-iteration overhead of the clock
 //! amortizes away), then records `sample_size` batch timings. The per-call
-//! estimate is `median(batch time / batch size)`.
+//! estimate is `median(batch time / batch size)`, kept in fractional
+//! nanoseconds so a routine faster than 1 ns per call still measures
+//! above zero.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::cmp::Ordering;
 use std::fmt::{self, Display};
 use std::time::{Duration, Instant};
 
@@ -137,10 +140,34 @@ pub struct Bencher {
 
 #[derive(Debug, Clone, Copy)]
 struct Sample {
-    median: Duration,
-    low: Duration,
-    high: Duration,
+    median: PerIter,
+    low: PerIter,
+    high: PerIter,
     iterations: u64,
+}
+
+/// A per-call time in (fractional) nanoseconds: batch time divided by
+/// batch size. `Duration` division would truncate a sub-nanosecond call to
+/// zero; this keeps it, and still compares against a `Duration`.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+struct PerIter(f64);
+
+impl PerIter {
+    fn of_batch(elapsed: Duration, batch: u64) -> PerIter {
+        PerIter(elapsed.as_nanos() as f64 / batch as f64)
+    }
+}
+
+impl PartialEq<Duration> for PerIter {
+    fn eq(&self, other: &Duration) -> bool {
+        self.0 == other.as_nanos() as f64
+    }
+}
+
+impl PartialOrd<Duration> for PerIter {
+    fn partial_cmp(&self, other: &Duration) -> Option<Ordering> {
+        self.0.partial_cmp(&(other.as_nanos() as f64))
+    }
 }
 
 impl Bencher {
@@ -161,16 +188,16 @@ impl Bencher {
             batch *= 2;
         }
 
-        let mut times: Vec<Duration> = (0..self.sample_size)
+        let mut times: Vec<PerIter> = (0..self.sample_size)
             .map(|_| {
                 let start = Instant::now();
                 for _ in 0..batch {
                     std::hint::black_box(routine());
                 }
-                start.elapsed() / u32::try_from(batch).unwrap_or(u32::MAX)
+                PerIter::of_batch(start.elapsed(), batch)
             })
             .collect();
-        times.sort_unstable();
+        times.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
         self.result = Some(Sample {
             median: times[times.len() / 2],
             low: times[times.len() / 4],
@@ -198,16 +225,16 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, sample_size: usize, mut f:
     }
 }
 
-fn format_duration(d: Duration) -> String {
-    let nanos = d.as_nanos();
-    if nanos < 1_000 {
-        format!("{nanos} ns")
-    } else if nanos < 1_000_000 {
-        format!("{:.2} µs", nanos as f64 / 1_000.0)
-    } else if nanos < 1_000_000_000 {
-        format!("{:.2} ms", nanos as f64 / 1_000_000.0)
+fn format_duration(d: PerIter) -> String {
+    let nanos = d.0;
+    if nanos < 1_000.0 {
+        format!("{nanos:.2} ns")
+    } else if nanos < 1_000_000.0 {
+        format!("{:.2} µs", nanos / 1_000.0)
+    } else if nanos < 1_000_000_000.0 {
+        format!("{:.2} ms", nanos / 1_000_000.0)
     } else {
-        format!("{:.2} s", nanos as f64 / 1_000_000_000.0)
+        format!("{:.2} s", nanos / 1_000_000_000.0)
     }
 }
 

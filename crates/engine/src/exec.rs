@@ -103,19 +103,30 @@ struct RuleFail {
     failed_member_max: f64,
 }
 
-/// An upper bound on `Pr^k(t')` for every tuple `t'` not yet scanned.
+/// The early-exit test (line 6 of Figure 3): whether every tuple `t'` not
+/// yet scanned is certified to have `Pr^k(t') < threshold`.
 ///
 /// For a future independent tuple, the dominant set contains at least the
 /// whole current pool, so `Σ_{j<k} Pr(S, j)` over the pool bounds its Eq. 4
 /// factor (the partial sum is non-increasing as elements are added or
 /// gain mass). For a future member of an open rule `R`, the dominant set
-/// excludes `R`'s own rule-tuple, so the bound deconvolves that entry out.
+/// excludes `R`'s own rule-tuple, so its term deconvolves that entry out.
 /// Membership probability is bounded by 1.
-fn future_upper_bound(comp: &Compressor) -> f64 {
+///
+/// The scan stops iff every term is below `threshold`. Plan thresholds lie
+/// in `(0, 1]`, so this is exactly `max(terms).min(1.0) < threshold`, but
+/// the test returns at the first term that reaches `threshold`: open rules
+/// are visited heaviest first (a near-1 mass is the likeliest to clear it),
+/// and only a check that stops pays for all of them.
+pub(crate) fn bound_below(comp: &mut Compressor, threshold: f64) -> bool {
     let pool = comp.pool_row();
-    let mut ub: f64 = dp::partial_sum(&pool);
-    for (_, mass) in comp.open_rules() {
-        let without = match dp::deconvolve(&pool, mass) {
+    if dp::partial_sum(&pool) >= threshold {
+        return false;
+    }
+    let mut open = comp.open_rules();
+    open.sort_by(|a, b| b.1.total_cmp(&a.1));
+    open.iter().all(|&(_, mass)| {
+        let term = match dp::deconvolve(&pool, mass) {
             // Slack covers mass the ill-conditioned inversion can shed
             // without tripping its own guards; losing it here would make
             // the bound non-conservative.
@@ -124,9 +135,8 @@ fn future_upper_bound(comp: &Compressor) -> f64 {
             // this rule (conservative).
             None => 1.0,
         };
-        ub = ub.max(without);
-    }
-    ub.min(1.0)
+        term < threshold
+    })
 }
 
 /// Executes a [`PtkPlan`] over any [`RankedSource`].
@@ -274,7 +284,7 @@ impl<'a> PtkExecutor<'a> {
                     }
                     if stats.scanned % interval == 0 {
                         bound_checks += 1;
-                        if bound_clock.time(|| future_upper_bound(&comp)) < threshold {
+                        if bound_clock.time(|| bound_below(&mut comp, threshold)) {
                             stats.stop = Some(StopReason::UpperBound);
                             if let Some(t) = tracer {
                                 t.instant(Mark::Stop {
@@ -415,7 +425,7 @@ impl<'a> PtkExecutor<'a> {
                 // cannot reach the threshold, stop.
                 if stats.scanned % options.ub_check_interval.max(1) == 0 {
                     bound_checks += 1;
-                    if bound_clock.time(|| future_upper_bound(&comp)) < threshold {
+                    if bound_clock.time(|| bound_below(&mut comp, threshold)) {
                         stats.stop = Some(StopReason::UpperBound);
                         if let Some(t) = tracer {
                             t.instant(Mark::Stop {

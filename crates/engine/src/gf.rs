@@ -271,6 +271,12 @@ pub(crate) struct Compressor {
     spare_rows: Vec<Vec<f64>>,
     /// Stable-group items in availability order.
     stable: Vec<StableItem>,
+    /// DP row over `stable[..folded]`, the stable half of
+    /// [`Compressor::pool_row`]. Stable items never change once absorbed,
+    /// so each is folded in exactly once, on the first `pool_row` call
+    /// after its absorption.
+    stable_row: Vec<f64>,
+    folded: usize,
     /// Rule states in first-absorption order; `PoolEntry::Rule::idx` and
     /// `StableItem::CompletedRule` index into this, so the hot per-entry
     /// checks never touch a map.
@@ -302,6 +308,8 @@ impl Compressor {
             rows: vec![dp::unit_row(k)],
             spare_rows: Vec::new(),
             stable: Vec::new(),
+            stable_row: dp::unit_row(k),
+            folded: 0,
             rule_states: Vec::new(),
             rule_index: HashMap::new(),
             rule_order: Vec::new(),
@@ -569,15 +577,22 @@ impl Compressor {
     /// absorbed tuple compressed, no rule excluded. This is what a future
     /// independent tuple's dominant set would contain if scanning stopped
     /// here; used by the early-exit upper bound.
-    pub(crate) fn pool_row(&self) -> Vec<f64> {
-        let mut row = dp::unit_row(self.k);
-        for item in &self.stable {
+    ///
+    /// The fold order is fixed: stable items in availability order, then
+    /// open rule-tuples in `rule_order`. The stable prefix is kept folded
+    /// across calls and only the items absorbed since the last call are
+    /// convolved in, so the row is the same f64 sequence as a refold from
+    /// the unit row, at `O((new stable + open rules)·k)` per call.
+    pub(crate) fn pool_row(&mut self) -> Vec<f64> {
+        for item in &self.stable[self.folded..] {
             let mass = match *item {
                 StableItem::Indep { prob, .. } => prob,
                 StableItem::CompletedRule(idx) => self.rule_states[idx as usize].mass,
             };
-            dp::convolve_in_place(&mut row, mass);
+            dp::convolve_in_place(&mut self.stable_row, mass);
         }
+        self.folded = self.stable.len();
+        let mut row = self.stable_row.clone();
         for &idx in &self.rule_order {
             let rs = &self.rule_states[idx as usize];
             if !rs.completed {
@@ -1177,6 +1192,202 @@ pub(crate) fn expected_ranks_closed(records: &[ScanRecord]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::bound_below;
+    use ptk_core::check::{check, Config};
+    use ptk_core::prop_assert_eq;
+    use ptk_core::rng::{RngExt, StdRng};
+
+    /// The pool row refolded from the unit row (stable items in
+    /// availability order, then open rules in `rule_order`): the reference
+    /// the incremental [`Compressor::pool_row`] must reproduce bit for bit.
+    fn refold(comp: &Compressor) -> Vec<f64> {
+        let mut row = dp::unit_row(comp.k);
+        for item in &comp.stable {
+            let mass = match *item {
+                StableItem::Indep { prob, .. } => prob,
+                StableItem::CompletedRule(idx) => comp.rule_states[idx as usize].mass,
+            };
+            dp::convolve_in_place(&mut row, mass);
+        }
+        for (_, mass) in comp.open_rules() {
+            dp::convolve_in_place(&mut row, mass);
+        }
+        row
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The full-max early-exit bound `bound_below` replaced.
+    fn full_max_bound(comp: &Compressor) -> f64 {
+        let pool = refold(comp);
+        let mut ub = dp::partial_sum(&pool);
+        for (_, mass) in comp.open_rules() {
+            let term = match dp::deconvolve(&pool, mass) {
+                Some(row) => dp::partial_sum(&row) + dp::DECONVOLVE_MASS_SLACK,
+                None => 1.0,
+            };
+            ub = ub.max(term);
+        }
+        ub.min(1.0)
+    }
+
+    /// Checks the incremental pool row and the stop decision against the
+    /// references at the compressor's current state.
+    fn check_pool(comp: &mut Compressor) -> Result<(), String> {
+        let reference = refold(comp);
+        prop_assert_eq!(bits(&comp.pool_row()), bits(&reference));
+        let ub = full_max_bound(comp);
+        for p in [0.01, 0.2, 0.5, 0.9, 1.0, ub, ub.next_up(), ub.next_down()] {
+            if p > 0.0 && p <= 1.0 {
+                prop_assert_eq!(bound_below(comp, p), ub < p, "p = {}, bound {}", p, ub);
+            }
+        }
+        Ok(())
+    }
+
+    /// A random tail of absorbs after `first_tag`: independents, members
+    /// of rules that complete (known length) or stay open (unknown length),
+    /// some rules opening within `1e-6` of mass 1.
+    fn random_absorbs(
+        rng: &mut StdRng,
+        n: usize,
+        first_tag: usize,
+        first_key: u32,
+    ) -> Vec<AbsorbSpec> {
+        let mut specs = Vec::with_capacity(n);
+        let mut open: Vec<(RuleKey, Option<usize>, usize)> = Vec::new();
+        let mut next_key = first_key;
+        for tag in first_tag..first_tag + n {
+            let roll = rng.random_range(0.0..1.0f64);
+            if roll < 0.4 || (roll < 0.7 && open.is_empty()) {
+                specs.push(AbsorbSpec {
+                    tag,
+                    prob: rng.random_range(0.01..=1.0f64),
+                    rule: None,
+                    rule_len: None,
+                    next_member_rank: None,
+                });
+            } else if roll < 0.7 {
+                let i = rng.random_range(0..open.len());
+                let (key, len, absorbed) = &mut open[i];
+                *absorbed += 1;
+                specs.push(AbsorbSpec {
+                    tag,
+                    prob: rng.random_range(1e-9..0.05f64),
+                    rule: Some(*key),
+                    rule_len: *len,
+                    next_member_rank: None,
+                });
+                if *len == Some(*absorbed) {
+                    open.swap_remove(i);
+                }
+            } else {
+                let key = RuleKey(next_key);
+                next_key += 1;
+                let len =
+                    (rng.random_range(0.0..1.0f64) < 0.5).then(|| rng.random_range(2..=4usize));
+                let prob = if rng.random_range(0.0..1.0f64) < 0.3 {
+                    1.0 - rng.random_range(1e-9..1e-6f64)
+                } else {
+                    rng.random_range(0.01..0.8f64)
+                };
+                specs.push(AbsorbSpec {
+                    tag,
+                    prob,
+                    rule: Some(key),
+                    rule_len: len,
+                    next_member_rank: None,
+                });
+                open.push((key, len, 1));
+            }
+        }
+        specs
+    }
+
+    #[test]
+    fn pool_row_and_bound_match_the_refold_after_from_boundary() {
+        check(
+            "from_boundary pool row == refold",
+            Config::cases(32).sizes(2, 48).seed(0xb0_0004),
+            |rng, size| {
+                let k = rng.random_range(1..=8usize);
+                let seeded = rng.random_range(1..=size);
+                let mut stables = Vec::new();
+                let mut next_key = 0u32;
+                for tag in 0..seeded {
+                    let seed = if rng.random_range(0.0..1.0f64) < 0.7 {
+                        StableSeed::Indep {
+                            tag,
+                            prob: rng.random_range(0.01..=1.0f64),
+                        }
+                    } else {
+                        next_key += 1;
+                        StableSeed::Rule {
+                            key: RuleKey(next_key - 1),
+                            absorbed: 2,
+                            mass: rng.random_range(0.01..=1.0f64),
+                        }
+                    };
+                    stables.push(StableRecord {
+                        avail_rank: tag,
+                        seed,
+                    });
+                }
+                let entry_count = rng.random_range(0..=seeded);
+                let mut boundary_row = dp::unit_row(k);
+                for rec in &stables[..entry_count] {
+                    let mass = match rec.seed {
+                        StableSeed::Indep { prob, .. } => prob,
+                        StableSeed::Rule { mass, .. } => mass,
+                    };
+                    dp::convolve_in_place(&mut boundary_row, mass);
+                }
+                let variant = [
+                    SharingVariant::Rc,
+                    SharingVariant::Aggressive,
+                    SharingVariant::Lazy,
+                ][rng.random_range(0..3usize)];
+                let mut comp =
+                    Compressor::from_boundary(k, variant, &stables, entry_count, &boundary_row);
+                check_pool(&mut comp)?;
+                for spec in random_absorbs(rng, size, seeded, next_key) {
+                    comp.absorb(spec);
+                    check_pool(&mut comp)?;
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn gf_refold_fallback_matches_a_from_scratch_refold() {
+        let refolds = std::cell::Cell::new(0u64);
+        check(
+            "GfState refold == from-scratch refold",
+            Config::cases(32).sizes(2, 48).seed(0xb0_0005),
+            |rng, size| {
+                let k = rng.random_range(1..=8usize);
+                let mut gf = GfState::new(k, SharingVariant::Lazy);
+                for spec in random_absorbs(rng, size, 0, 0) {
+                    let before = gf.rows_refolded();
+                    gf.absorb(spec);
+                    if gf.rows_refolded() > before {
+                        refolds.set(refolds.get() + 1);
+                        prop_assert_eq!(bits(&gf.pool_row), bits(&refold(&gf.comp)));
+                    }
+                    // Interleaved bound checks share the folded prefix with
+                    // the refold fallback.
+                    if rng.random_range(0.0..1.0f64) < 0.5 {
+                        check_pool(&mut gf.comp)?;
+                    }
+                }
+                Ok(())
+            },
+        );
+        assert!(refolds.get() > 0, "no absorb took the refold fallback");
+    }
 
     #[test]
     fn utopk_search_stops_at_the_state_cap() {

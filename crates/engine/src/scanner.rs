@@ -156,8 +156,15 @@ impl<'v> Scanner<'v> {
     /// scanned tuple compressed, no rule excluded. This is what a future
     /// independent tuple's dominant set would contain if scanning stopped
     /// here; used by the early-exit upper bound.
-    pub fn pool_row(&self) -> Vec<f64> {
+    pub fn pool_row(&mut self) -> Vec<f64> {
         self.comp.pool_row()
+    }
+
+    /// The executor's early-exit test at this point of the scan: whether
+    /// the §4.4 upper bound certifies that no unscanned tuple can reach
+    /// `threshold` (see DESIGN.md §3.4).
+    pub fn bound_below(&mut self, threshold: f64) -> bool {
+        crate::exec::bound_below(&mut self.comp, threshold)
     }
 
     /// Rules that currently have both scanned and unscanned members, with
